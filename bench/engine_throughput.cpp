@@ -18,11 +18,8 @@
 //                    lane widths shows where each circuit shape hits the
 //                    memory wall (best_cone_lane_width per circuit)
 //
-// The *-adaptive-* configurations run the same campaigns under
-// WidthPolicy::kAdaptive (tail/sparse groups at narrower lane tiers,
-// cone-affinity-block-aligned grouping); each engine entry reports its
-// width_policy, lane_occupancy and per-tier group counts so the A/B against
-// the fixed-width twin is visible per line.
+// Each engine entry reports its lane_occupancy and group counts, so a
+// partial final group is visible per line.
 //
 // The *-noopt-* configurations run with the kernel IR optimizer off
 // (CampaignConfig::optimize = false — sim/kernel_opt.h): the A/B baseline
@@ -108,7 +105,7 @@ struct BenchResult {
   std::uint64_t eval_instrs = 0;
   std::uint64_t eval_slot_bytes = 0;
   double lane_occupancy = 1.0;
-  ParallelFaultSimulator::GroupWidthCounts group_widths;
+  obs::GroupWidthCounts group_widths;
 
   // Per-phase breakdown: one-time construction phases (kernel compile,
   // golden/slot traces + word images, cone build) from the engine's
@@ -218,9 +215,7 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
         << ", \"eval_instrs\": " << r.eval_instrs
         << ", \"eval_bytes_per_instr\": " << r.eval_bytes_per_instr()
         << ", \"eval_cycles_per_sec\": " << r.eval_cycles_per_sec()
-        << ", \"width_policy\": \""
-        << width_policy_name(r.config.width_policy)
-        << "\", \"lane_occupancy\": " << r.lane_occupancy
+        << ", \"lane_occupancy\": " << r.lane_occupancy
         << ", \"group_widths\": {\"64\": " << r.group_widths.g64
         << ", \"256\": " << r.group_widths.g256
         << ", \"512\": " << r.group_widths.g512 << "}"
@@ -280,14 +275,6 @@ CampaignConfig full_config(SimBackend b, LaneWidth w, unsigned threads) {
 CampaignConfig cone_config(LaneWidth w, unsigned threads) {
   return {SimBackend::kCompiled, w, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
-}
-
-/// cone_config with the width-adaptive group planner: sparse and tail
-/// groups drop to narrower lane tiers and align to cone-affinity blocks.
-CampaignConfig adaptive_cone_config(LaneWidth w, unsigned threads) {
-  CampaignConfig config = cone_config(w, threads);
-  config.width_policy = WidthPolicy::kAdaptive;
-  return config;
 }
 
 /// cone_config with the kernel IR optimizer off — the raw-kernel A/B
@@ -375,8 +362,8 @@ void run_circuit(const std::string& circuit_name, const Circuit& circuit,
       }
     }
   }
-  // Construction-phase scalars, read after the reps so lazily built word
-  // images (wider tiers materialize on first use) are included in golden_s.
+  // Construction-phase scalars plus the optimizer counters, which describe
+  // the kernel the reps executed (so they are read after the reps).
   for (std::size_t i = 0; i < configs.size(); ++i) {
     BenchResult& r = results[first_result + i];
     const obs::CampaignTelemetry& t = sims[i]->telemetry_snapshot();
@@ -493,8 +480,6 @@ int main(int argc, char** argv) {
         {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-noopt-1t", kSeu,
          noopt_cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-adaptive-1t", kSeu,
-         adaptive_cone_config(LaneWidth::k512, 1)},
         {"compiled-64-cone-mt", kSeu, cone_config(LaneWidth::k64, hw)},
         {"compiled-256-cone-mt", kSeu, cone_config(LaneWidth::k256, hw)},
         {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
@@ -505,15 +490,11 @@ int main(int argc, char** argv) {
         {"set-512-cone-1t", kSet, cone_config(LaneWidth::k512, 1)},
         {"set-512-cone-noopt-1t", kSet,
          noopt_cone_config(LaneWidth::k512, 1)},
-        {"set-512-cone-adaptive-1t", kSet,
-         adaptive_cone_config(LaneWidth::k512, 1)},
         {"set-64-cone-mt", kSet, cone_config(LaneWidth::k64, hw)},
         {"stuckat-64-cone-1t", kStuckAt, cone_config(LaneWidth::k64, 1)},
         {"stuckat-512-cone-1t", kStuckAt, cone_config(LaneWidth::k512, 1)},
         {"stuckat-512-cone-noopt-1t", kStuckAt,
          noopt_cone_config(LaneWidth::k512, 1)},
-        {"stuckat-512-cone-adaptive-1t", kStuckAt,
-         adaptive_cone_config(LaneWidth::k512, 1)},
         {"stuckat-64-cone-mt", kStuckAt, cone_config(LaneWidth::k64, hw)},
         {"compiled-512-cone-cache-cold-1t", kSeu,
          cached_cone_config(LaneWidth::k512, 1, b14_cache_dir)},
@@ -560,11 +541,7 @@ int main(int argc, char** argv) {
         {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-noopt-1t", kSeu,
          noopt_cone_config(LaneWidth::k512, 1)},
-        {"compiled-512-cone-adaptive-1t", kSeu,
-         adaptive_cone_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
-        {"compiled-512-cone-adaptive-mt", kSeu,
-         adaptive_cone_config(LaneWidth::k512, hw)},
     };
     // Cache twins on the largest family only — it has the tallest setup
     // wall (the eager-cone build), so it is the speedup evidence.

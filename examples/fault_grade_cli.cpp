@@ -1,118 +1,5 @@
 // Command-line fault-grading driver — the "downstream user" entry point.
-//
-//   fault_grade_cli [circuit] [cycles] [technique] [sample] [seed]
-//                   [--model seu|mbu|set|stuckat] [--pulse-width F]
-//                   [--lanes 64|256|512] [--width-policy fixed|adaptive]
-//                   [--bench FILE] [--no-optimize] [--cache-dir DIR]
-//                   [--journal PATH] [--resume] [--regrade-from SPEC]
-//                   [--progress] [--trace-out FILE] [--metrics-out FILE]
-//                   [--json]
-//
-//     circuit    registry name (see --list) or a .bench file path
-//                [default: b14]
-//     cycles     testbench length                     [default: 160]
-//     technique  mask-scan | state-scan | time-mux | all [default: all]
-//                (SEU model only — the emulation cost account)
-//     sample     fault-sample size, 0 = complete list [default: 0]
-//     seed       stimulus/sampling seed               [default: 2005]
-//
-//     --model    which fault model to grade [default: seu]
-//                  seu      flip-flop bit-flips through the
-//                           autonomous-emulation techniques (the paper's
-//                           campaign + time account)
-//                  mbu      multi-bit upsets (adjacent pairs, or sampled
-//                           clusters) through the unified campaign engine
-//                  set      single-event transients at combinational gate
-//                           outputs (collapsed representative sites,
-//                           expanded back to all sites in the report;
-//                           sampled campaigns additionally report
-//                           class-size-weighted 95% Wilson intervals over
-//                           the all-sites population)
-//                  stuckat  permanent stuck-at-0/1 at gate outputs with
-//                           test-pattern semantics: failure == detected by
-//                           this testbench, and the headline number is the
-//                           fault coverage
-//     --pulse-width F
-//                SET only: transient pulse width as a fraction of the clock
-//                period, discretised in 1/256 steps [default: 1.0 — the
-//                classic full-cycle inversion]. Narrower pulses latch into
-//                each downstream flip-flop only when they overlap its setup
-//                window (probability == the fraction)
-//     --lanes    grading-engine lane width: 64, 256 or 512 faulty machines
-//                per pass [default: 64]. 512 uses AVX-512 when the host
-//                supports it and portable limbs otherwise; the chosen SIMD
-//                path is reported in --json output ("simd")
-//     --width-policy fixed|adaptive
-//                fault-group width policy [default: fixed]. `adaptive` lets
-//                the engine run sparse/tail groups at a narrower lane tier
-//                and align groups to cone-affinity blocks (identical
-//                classifications, higher lane occupancy on sampled
-//                campaigns); compiled backend only
-//     --bench FILE
-//                grade an external netlist in the ISCAS-89 .bench format
-//                (netlist/bench_io.h) instead of a registry circuit. Any
-//                extension works — unlike the positional form, which only
-//                routes paths containing ".bench" to the parser
-//     --no-optimize
-//                run the campaign on the raw compiled kernel, skipping the
-//                kernel IR optimizer (inverter absorption, constant folding,
-//                dead-logic elimination — sim/kernel_opt.h). The A/B
-//                baseline: classifications are bit-identical with and
-//                without this flag; only the executed instruction stream
-//                (and so faults/s) changes. The reduction shows up in
-//                --json as the "optimizer" object
-//     --cache-dir DIR
-//                persist the campaign setup artifacts (golden traces, cone
-//                structures, cone-affine order, optimized kernel) in DIR,
-//                content-addressed by circuit/testbench/optimizer hashes
-//                (fault/artifact_cache.h). The first campaign over a given
-//                (circuit, testbench) pays setup and stores; later ones
-//                load it back and skip the setup wall. Corrupt, stale or
-//                foreign entries degrade to a warned rebuild; grading output
-//                is bit-identical either way. Cache traffic is reported in
-//                --json ("cache") and --metrics-out (artifact_cache_*)
-//     --journal PATH
-//                SEU only: run the campaign through the crash-safe journal
-//                (fault/journal.h). Retired groups stream to PATH as they
-//                finish, so a killed campaign leaves a resumable file; the
-//                failure-signature dictionary is written to PATH.dict
-//     --resume   with --journal: replay the journal's retired groups and
-//                grade only the remainder — bit-identical to an
-//                uninterrupted run. An invalid or mismatched journal
-//                degrades to a warned full re-run
-//     --regrade-from SPEC
-//                with --journal: cone-exact incremental re-grade. SPEC is
-//                the *previous* circuit revision (registry name or .bench
-//                path) whose campaign wrote the journal; only faults whose
-//                flip-flop cone touches the netlist edit are re-simulated,
-//                the rest reuse their journaled classification, and the
-//                journal is rewritten for the new revision
-//     --progress live progress on stderr (rate-limited; \r redraw on a TTY)
-//                plus a final summary line — total faults, wall seconds,
-//                faults/s, peak lane-group occupancy. stdout is untouched,
-//                so it composes with --json
-//     --trace-out FILE
-//                write a Chrome trace-event JSON of the campaign to FILE:
-//                one track per worker with one slice per retired lane group
-//                (args: width, live lanes, occupancy %, narrowings, cone
-//                instructions), a campaign track with the serial phases
-//                (compile, golden trace, cone build, plan, grade, ...), and
-//                a journal track with per-group flush spans. Open in
-//                Perfetto (ui.perfetto.dev) or chrome://tracing
-//     --metrics-out FILE
-//                write the merged campaign metrics (counters, gauges,
-//                histograms with p50/p90/p99) as JSON to FILE. Counters and
-//                histogram bucket counts are bit-identical for any thread
-//                count (worker-id-ordered reduction)
-//     --json     machine-readable grading JSON on stdout instead of tables
-//                (includes the model's descriptor name, the engine work
-//                metrics — lane_occupancy, eval_bytes_per_instr, the chosen
-//                per-tier group counts — and, for SET, the pulse parameters)
-//
-// The SEU model prints the grading with 95% confidence intervals and the
-// emulation-time account per technique, and writes the per-fault dictionary
-// CSV next to the binary; MBU, SET and stuck-at print the unified-engine
-// grading.
+// The usage text is kUsage below (printed by --help).
 
 #include <fstream>
 #include <iostream>
@@ -141,6 +28,122 @@
 namespace {
 
 using namespace femu;
+
+constexpr const char* kUsage =
+    R"(usage: fault_grade_cli [circuit] [cycles] [technique] [sample] [seed]
+                       [--model seu|mbu|set|stuckat] [--pulse-width F]
+                       [--lanes 64|256|512] [--bench FILE] [--no-optimize]
+                       [--cache-dir DIR] [--journal PATH] [--resume]
+                       [--regrade-from SPEC] [--progress] [--trace-out FILE]
+                       [--metrics-out FILE] [--json]
+       fault_grade_cli --list | --help | -h
+
+  circuit    registry name (see --list) or a .bench file path
+             [default: b14]
+  cycles     testbench length                     [default: 160]
+  technique  mask-scan | state-scan | time-mux | all [default: all]
+             (SEU model only — the emulation cost account)
+  sample     fault-sample size, 0 = complete list [default: 0]
+  seed       stimulus/sampling seed               [default: 2005]
+
+  --model    which fault model to grade [default: seu]
+               seu      flip-flop bit-flips through the
+                        autonomous-emulation techniques (the paper's
+                        campaign + time account)
+               mbu      multi-bit upsets (adjacent pairs, or sampled
+                        clusters) through the unified campaign engine
+               set      single-event transients at combinational gate
+                        outputs (collapsed representative sites,
+                        expanded back to all sites in the report;
+                        sampled campaigns additionally report
+                        class-size-weighted 95% Wilson intervals over
+                        the all-sites population)
+               stuckat  permanent stuck-at-0/1 at gate outputs with
+                        test-pattern semantics: failure == detected by
+                        this testbench, and the headline number is the
+                        fault coverage
+  --pulse-width F
+             SET only: transient pulse width as a fraction of the clock
+             period, discretised in 1/256 steps [default: 1.0 — the
+             classic full-cycle inversion]. Narrower pulses latch into
+             each downstream flip-flop only when they overlap its setup
+             window (probability == the fraction)
+  --lanes    grading-engine lane width: 64, 256 or 512 faulty machines
+             per pass [default: 64]. 512 uses AVX-512 when the host
+             supports it and portable limbs otherwise; the chosen SIMD
+             path is reported in --json output ("simd")
+  --bench FILE
+             grade an external netlist in the ISCAS-89 .bench format
+             (netlist/bench_io.h) instead of a registry circuit. Any
+             extension works — unlike the positional form, which only
+             routes paths containing ".bench" to the parser
+  --no-optimize
+             run the campaign on the raw compiled kernel, skipping the
+             kernel IR optimizer (inverter absorption, constant folding,
+             dead-logic elimination — sim/kernel_opt.h). The A/B
+             baseline: classifications are bit-identical with and
+             without this flag; only the executed instruction stream
+             (and so faults/s) changes. The reduction shows up in
+             --json as the "optimizer" object
+  --cache-dir DIR
+             persist the campaign setup artifacts (golden traces, cone
+             structures, cone-affine order, optimized kernel) in DIR,
+             content-addressed by circuit/testbench/optimizer hashes
+             (fault/artifact_cache.h). The first campaign over a given
+             (circuit, testbench) pays setup and stores; later ones
+             load it back and skip the setup wall. Corrupt, stale or
+             foreign entries degrade to a warned rebuild; grading output
+             is bit-identical either way. Cache traffic is reported in
+             --json ("cache") and --metrics-out (artifact_cache_*)
+  --journal PATH
+             SEU only: run the campaign through the crash-safe journal
+             (fault/journal.h). Retired groups stream to PATH as they
+             finish, so a killed campaign leaves a resumable file; the
+             failure-signature dictionary is written to PATH.dict
+  --resume   with --journal: replay the journal's retired groups and
+             grade only the remainder — bit-identical to an
+             uninterrupted run. An invalid or mismatched journal
+             degrades to a warned full re-run
+  --regrade-from SPEC
+             with --journal: cone-exact incremental re-grade. SPEC is
+             the *previous* circuit revision (registry name or .bench
+             path) whose campaign wrote the journal; only faults whose
+             flip-flop cone touches the netlist edit are re-simulated,
+             the rest reuse their journaled classification, and the
+             journal is rewritten for the new revision
+  --progress live progress on stderr (rate-limited; \r redraw on a TTY)
+             plus a final summary line — total faults, wall seconds,
+             faults/s, peak lane-group occupancy. stdout is untouched,
+             so it composes with --json
+  --trace-out FILE
+             write a Chrome trace-event JSON of the campaign to FILE:
+             one track per worker with one slice per retired lane group
+             (args: width, live lanes, occupancy %, narrowings, cone
+             instructions), a campaign track with the serial phases
+             (compile, golden trace, cone build, plan, grade, ...), and
+             a journal track with per-group flush spans. Open in
+             Perfetto (ui.perfetto.dev) or chrome://tracing
+  --metrics-out FILE
+             write the merged campaign metrics (counters, gauges,
+             histograms with p50/p90/p99) as JSON to FILE. Counters and
+             histogram bucket counts are bit-identical for any thread
+             count (worker-id-ordered reduction)
+  --json     machine-readable grading JSON on stdout instead of tables
+             (includes the model's descriptor name, the engine work
+             metrics — lane_occupancy, eval_bytes_per_instr, the group
+             counts — and, for SET, the pulse parameters). Errors print
+             one {"error": {...}} object on stdout and exit 1
+  --list     list the registry circuits and exit
+  --help, -h print this usage and exit
+
+Any other argument starting with "--" is an error (exit 1).
+
+The SEU model prints the grading with 95% confidence intervals and the
+emulation-time account per technique, and writes the per-fault dictionary
+CSV next to the binary, all from one grading (classifications do not
+depend on the technique); MBU, SET and stuck-at print the unified-engine
+grading.
+)";
 
 Circuit load_circuit(const std::string& spec) {
   if (spec.find(".bench") != std::string::npos) {
@@ -176,21 +179,12 @@ LaneWidth parse_lanes(const std::string& spec) {
   throw Error(str_cat("unknown lane width '", spec, "' (64 | 256 | 512)"));
 }
 
-WidthPolicy parse_width_policy(const std::string& spec) {
-  if (spec == "fixed") return WidthPolicy::kFixed;
-  if (spec == "adaptive") return WidthPolicy::kAdaptive;
-  throw Error(
-      str_cat("unknown width policy '", spec, "' (fixed | adaptive)"));
-}
-
-/// ", \"width_policy\": ..., \"lane_occupancy\": ..." — the engine work
-/// metrics of the run that just finished, appended to every model's JSON.
+/// ", \"lane_occupancy\": ..." — the engine work metrics of the run that
+/// just finished, appended to every model's JSON.
 std::string engine_metrics_json(const ParallelFaultSimulator& sim) {
   const auto& widths = sim.last_run_group_widths();
   const obs::CampaignTelemetry& t = sim.telemetry_snapshot();
-  return str_cat(", \"width_policy\": \"",
-                 width_policy_name(sim.config().width_policy),
-                 "\", \"lane_occupancy\": ", sim.last_run_lane_occupancy(),
+  return str_cat(", \"lane_occupancy\": ", sim.last_run_lane_occupancy(),
                  ", \"eval_bytes_per_instr\": ",
                  sim.last_run_eval_bytes_per_instr(),
                  ", \"group_widths\": {\"64\": ", widths.g64,
@@ -299,8 +293,7 @@ std::string json_escape(std::string_view text) {
 
 int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
                       std::size_t cycles, std::size_t sample,
-                      std::uint64_t seed, LaneWidth lanes,
-                      WidthPolicy width_policy, bool optimize,
+                      std::uint64_t seed, LaneWidth lanes, bool optimize,
                       const std::string& cache_dir,
                       const std::string& journal_path, bool resume,
                       const std::string& regrade_spec,
@@ -313,7 +306,6 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
 
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -395,12 +387,11 @@ int run_seu_journaled(const Circuit& circuit, const Testbench& tb,
 
 int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             const std::string& technique_spec, std::size_t sample,
-            std::uint64_t seed, LaneWidth lanes, WidthPolicy width_policy,
-            bool optimize, const std::string& cache_dir,
+            std::uint64_t seed, LaneWidth lanes, bool optimize,
+            const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   EmulatorOptions options;
   options.campaign.lanes = lanes;
-  options.campaign.width_policy = width_policy;
   options.campaign.optimize = optimize;
   options.campaign.telemetry = telemetry;
   options.campaign.cache_dir = cache_dir;
@@ -425,31 +416,24 @@ int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             << format_grouped(total) << " single SEU faults, " << cycles
             << " vectors, seed " << seed << "\n\n";
 
+  // One grading serves every technique: only the cycle account differs.
+  const std::vector<EmulationReport> reports =
+      emulator.run(parse_techniques(technique_spec), faults);
+  const CampaignResult& grading = reports.front().grading;
+  const SampledGrading est = estimate_grading(grading);
+  std::cout << "grading (95% Wilson interval";
+  if (faults.size() == total) {
+    std::cout << "; complete campaign, interval degenerate";
+  }
+  std::cout << "):\n";
+  print_interval_lines(est);
+  std::cout << "\n";
+
   TextTable table({"technique", "failure", "latent", "silent",
                    "emulation (ms)", "us/fault"});
-  bool first = true;
-  for (const Technique technique : parse_techniques(technique_spec)) {
-    const EmulationReport report = emulator.run(technique, faults);
-    if (first) {
-      const SampledGrading est = estimate_grading(report.grading);
-      std::cout << "grading (95% Wilson interval";
-      if (faults.size() == total) {
-        std::cout << "; complete campaign, interval degenerate";
-      }
-      std::cout << "):\n";
-      const auto line = [](const char* name, const ProportionEstimate& e) {
-        std::cout << "  " << name << ": " << format_percent(e.fraction)
-                  << "  [" << format_percent(e.low) << ", "
-                  << format_percent(e.high) << "]\n";
-      };
-      line("failure", est.failure);
-      line("latent ", est.latent);
-      line("silent ", est.silent);
-      std::cout << "\n";
-      first = false;
-    }
+  for (const EmulationReport& report : reports) {
     const ClassCounts& c = report.grading.counts();
-    table.add_row({std::string(technique_name(technique)),
+    table.add_row({std::string(technique_name(report.technique)),
                    format_percent(c.failure_fraction()),
                    format_percent(c.latent_fraction()),
                    format_percent(c.silent_fraction()),
@@ -460,15 +444,14 @@ int run_seu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
   const std::string csv_path = circuit.name() + "_grading.csv";
   std::ofstream csv(csv_path);
-  emulator.run(Technique::kTimeMux, faults).grading.write_csv(csv);
+  grading.write_csv(csv);
   std::cout << "\nper-fault records written to " << csv_path << "\n";
   return 0;
 }
 
 int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            WidthPolicy width_policy, bool optimize,
-            const std::string& cache_dir,
+            bool optimize, const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   // Complete campaign: all adjacent FF pairs x all cycles (the dominant
   // physical MBU pattern); a sample draws random locality clusters instead.
@@ -480,7 +463,6 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
                                      seed);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -502,7 +484,7 @@ int run_mbu(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
             std::size_t sample, std::uint64_t seed, LaneWidth lanes,
-            WidthPolicy width_policy, bool optimize, std::uint16_t pulse_q,
+            bool optimize, std::uint16_t pulse_q,
             const std::string& cache_dir,
             obs::TelemetryCollector* telemetry, bool json) {
   const SetSites sites(circuit);
@@ -514,7 +496,6 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
                                         pulse_q);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -568,7 +549,7 @@ int run_set(const Circuit& circuit, const Testbench& tb, std::size_t cycles,
 
 int run_stuckat(const Circuit& circuit, const Testbench& tb,
                 std::size_t cycles, std::size_t sample, std::uint64_t seed,
-                LaneWidth lanes, WidthPolicy width_policy, bool optimize,
+                LaneWidth lanes, bool optimize,
                 const std::string& cache_dir,
                 obs::TelemetryCollector* telemetry, bool json) {
   const SetSites sites(circuit);
@@ -578,7 +559,6 @@ int run_stuckat(const Circuit& circuit, const Testbench& tb,
                           : sample_stuckat_fault_list(sites, sample, seed);
   CampaignConfig config;
   config.lanes = lanes;
-  config.width_policy = width_policy;
   config.optimize = optimize;
   config.telemetry = telemetry;
   config.cache_dir = cache_dir;
@@ -645,7 +625,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> positional;
     std::string model_spec = "seu";
     std::string lanes_spec = "64";
-    std::string width_policy_spec = "fixed";
     std::string bench_path;
     std::string cache_dir;
     std::string journal_path;
@@ -655,49 +634,61 @@ int main(int argc, char** argv) {
     bool resume = false;
     bool progress = false;
     bool optimize = true;
+    bool list = false;
     std::uint16_t pulse_q = kSetPulseFull;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--model" && i + 1 < argc) {
-        model_spec = argv[++i];
-      } else if (arg == "--lanes" && i + 1 < argc) {
-        lanes_spec = argv[++i];
-      } else if (arg == "--width-policy" && i + 1 < argc) {
-        width_policy_spec = argv[++i];
-      } else if (arg == "--pulse-width" && i + 1 < argc) {
-        pulse_q = set_pulse_q(std::stod(argv[++i]));
-      } else if (arg == "--bench" && i + 1 < argc) {
-        bench_path = argv[++i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          throw Error(str_cat("option '", arg, "' needs a value"));
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        std::cout << kUsage;
+        return 0;
+      } else if (arg == "--model") {
+        model_spec = value();
+      } else if (arg == "--lanes") {
+        lanes_spec = value();
+      } else if (arg == "--pulse-width") {
+        pulse_q = set_pulse_q(std::stod(value()));
+      } else if (arg == "--bench") {
+        bench_path = value();
       } else if (arg == "--no-optimize") {
         optimize = false;
-      } else if (arg == "--cache-dir" && i + 1 < argc) {
-        cache_dir = argv[++i];
-      } else if (arg == "--journal" && i + 1 < argc) {
-        journal_path = argv[++i];
+      } else if (arg == "--cache-dir") {
+        cache_dir = value();
+      } else if (arg == "--journal") {
+        journal_path = value();
       } else if (arg == "--resume") {
         resume = true;
-      } else if (arg == "--regrade-from" && i + 1 < argc) {
-        regrade_spec = argv[++i];
+      } else if (arg == "--regrade-from") {
+        regrade_spec = value();
       } else if (arg == "--progress") {
         progress = true;
-      } else if (arg == "--trace-out" && i + 1 < argc) {
-        trace_out = argv[++i];
-      } else if (arg == "--metrics-out" && i + 1 < argc) {
-        metrics_out = argv[++i];
+      } else if (arg == "--trace-out") {
+        trace_out = value();
+      } else if (arg == "--metrics-out") {
+        metrics_out = value();
+      } else if (arg == "--list") {
+        list = true;
       } else if (arg == "--json") {
         // already handled above
+      } else if (arg.starts_with("--")) {
+        throw Error(str_cat("unknown option '", arg, "' (see --help)"));
       } else {
         positional.push_back(arg);
       }
     }
-    const std::string circuit_spec =
-        !positional.empty() ? positional[0] : "b14";
-    if (circuit_spec == "--list") {
+    if (list) {
       for (const auto& entry : circuits::circuit_registry()) {
         std::cout << "  " << entry.name << " — " << entry.description << "\n";
       }
       return 0;
     }
+    const std::string circuit_spec =
+        !positional.empty() ? positional[0] : "b14";
     const std::size_t cycles =
         positional.size() > 1 ? std::stoul(positional[1]) : 160;
     const std::string technique_spec =
@@ -708,7 +699,6 @@ int main(int argc, char** argv) {
         positional.size() > 4 ? std::stoull(positional[4]) : 2005;
     const FaultModel model = parse_model(model_spec);
     const LaneWidth lanes = parse_lanes(lanes_spec);
-    const WidthPolicy width_policy = parse_width_policy(width_policy_spec);
 
     const Circuit circuit = !bench_path.empty() ? load_bench_file(bench_path)
                                                  : load_circuit(circuit_spec);
@@ -745,25 +735,23 @@ int main(int argc, char** argv) {
       case FaultModel::kSeu:
         rc = !journal_path.empty()
                  ? run_seu_journaled(circuit, tb, cycles, sample, seed, lanes,
-                                     width_policy, optimize, cache_dir,
-                                     journal_path, resume, regrade_spec,
-                                     telemetry.get(), json)
+                                     optimize, cache_dir, journal_path,
+                                     resume, regrade_spec, telemetry.get(),
+                                     json)
                  : run_seu(circuit, tb, cycles, technique_spec, sample, seed,
-                           lanes, width_policy, optimize, cache_dir,
-                           telemetry.get(), json);
+                           lanes, optimize, cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kMbu:
-        rc = run_mbu(circuit, tb, cycles, sample, seed, lanes, width_policy,
-                     optimize, cache_dir, telemetry.get(), json);
+        rc = run_mbu(circuit, tb, cycles, sample, seed, lanes, optimize,
+                     cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kSet:
-        rc = run_set(circuit, tb, cycles, sample, seed, lanes, width_policy,
-                     optimize, pulse_q, cache_dir, telemetry.get(), json);
+        rc = run_set(circuit, tb, cycles, sample, seed, lanes, optimize,
+                     pulse_q, cache_dir, telemetry.get(), json);
         break;
       case FaultModel::kStuckAt:
-        rc = run_stuckat(circuit, tb, cycles, sample, seed, lanes,
-                         width_policy, optimize, cache_dir, telemetry.get(),
-                         json);
+        rc = run_stuckat(circuit, tb, cycles, sample, seed, lanes, optimize,
+                         cache_dir, telemetry.get(), json);
         break;
     }
     write_telemetry_outputs(telemetry.get(), trace_out, metrics_out);

@@ -1,5 +1,7 @@
 #include "core/autonomous_emulator.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -17,33 +19,46 @@ AutonomousEmulator::AutonomousEmulator(const Circuit& circuit,
 
 EmulationReport AutonomousEmulator::run(Technique technique,
                                         std::span<const Fault> faults) {
-  EmulationReport report;
-  report.technique = technique;
-  report.grading = engine_.run(faults);
-  report.host_engine_seconds = engine_.last_run_seconds();
+  return std::move(run(std::span<const Technique>(&technique, 1), faults)
+                       .front());
+}
 
+std::vector<EmulationReport> AutonomousEmulator::run(
+    std::span<const Technique> techniques, std::span<const Fault> faults) {
+  const CampaignResult grading = engine_.run(faults);
+  const double engine_seconds = engine_.last_run_seconds();
   const CycleModelParams params{circuit_.num_dffs(), testbench_.num_cycles(),
                                 options_.ram_word};
-  report.cycles = campaign_cycles(technique, params, faults,
-                                  report.grading.outcomes());
-  report.emulation_seconds = report.cycles.seconds_at_mhz(options_.clock_mhz);
-  report.us_per_fault =
-      report.cycles.us_per_fault(faults.size(), options_.clock_mhz);
 
-  if (options_.compute_area) {
-    report.area = compute_area(technique, faults.size());
-    report.fit = check_fit(options_.board, report.area->system());
-    if (options_.enforce_fit && !report.fit.fits) {
-      throw CapacityError(str_cat(
-          "emulator system for '", circuit_.name(), "' with ",
-          technique_name(technique), " does not fit ", options_.board.name,
-          ": LUT ", format_percent(report.fit.lut_util), ", FF ",
-          format_percent(report.fit.ff_util), ", FPGA RAM ",
-          format_percent(report.fit.fpga_ram_util), ", board RAM ",
-          format_percent(report.fit.board_ram_util)));
+  std::vector<EmulationReport> reports;
+  reports.reserve(techniques.size());
+  for (const Technique technique : techniques) {
+    EmulationReport& report = reports.emplace_back();
+    report.technique = technique;
+    report.grading = grading;
+    report.host_engine_seconds = engine_seconds;
+    report.cycles =
+        campaign_cycles(technique, params, faults, grading.outcomes());
+    report.emulation_seconds =
+        report.cycles.seconds_at_mhz(options_.clock_mhz);
+    report.us_per_fault =
+        report.cycles.us_per_fault(faults.size(), options_.clock_mhz);
+
+    if (options_.compute_area) {
+      report.area = compute_area(technique, faults.size());
+      report.fit = check_fit(options_.board, report.area->system());
+      if (options_.enforce_fit && !report.fit.fits) {
+        throw CapacityError(str_cat(
+            "emulator system for '", circuit_.name(), "' with ",
+            technique_name(technique), " does not fit ", options_.board.name,
+            ": LUT ", format_percent(report.fit.lut_util), ", FF ",
+            format_percent(report.fit.ff_util), ", FPGA RAM ",
+            format_percent(report.fit.fpga_ram_util), ", board RAM ",
+            format_percent(report.fit.board_ram_util)));
+      }
     }
   }
-  return report;
+  return reports;
 }
 
 EmulationReport AutonomousEmulator::run_complete(Technique technique) {

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/board.h"
 #include "core/controller_cost.h"
@@ -98,6 +99,13 @@ class AutonomousEmulator {
   /// Runs a campaign over `faults` (any schedule; cycle-major is canonical).
   [[nodiscard]] EmulationReport run(Technique technique,
                                     std::span<const Fault> faults);
+
+  /// Grades `faults` once and applies each technique's cycle account and
+  /// area to that one grading — classifications do not depend on the
+  /// technique, only the emulation time and the instrumented netlist do.
+  /// Reports align with `techniques`; each equals run(technique, faults).
+  [[nodiscard]] std::vector<EmulationReport> run(
+      std::span<const Technique> techniques, std::span<const Fault> faults);
 
   /// Runs the complete N x T single-SEU campaign (the paper's experiment).
   [[nodiscard]] EmulationReport run_complete(Technique technique);

@@ -4,11 +4,13 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <numeric>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -115,16 +117,15 @@ template <typename KeyOf>
   return perm;
 }
 
-/// One worker's compiled engines, one per lane-width tier, constructed
-/// lazily on the first group of that tier the worker claims. Under kFixed
-/// exactly one tier ever materializes (same cost as before); an adaptive
-/// plan's tail groups bring up the narrower tiers only in workers that
-/// actually run them.
-struct LaneEngineSet {
-  std::optional<LaneEngine<std::uint64_t>> e64;
-  std::optional<LaneEngine<Word256>> e256;
-  std::optional<LaneEngine<Word512>> e512;
-};
+/// Calls `fn.template operator()<Word>()` with the lane word type of `lanes`.
+template <typename Fn>
+void with_lane_word(LaneWidth lanes, const Fn& fn) {
+  switch (lanes) {
+    case LaneWidth::k64: fn.template operator()<std::uint64_t>(); break;
+    case LaneWidth::k256: fn.template operator()<Word256>(); break;
+    case LaneWidth::k512: fn.template operator()<Word512>(); break;
+  }
+}
 
 }  // namespace
 
@@ -316,44 +317,22 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
     telem_.cache_store_seconds = timer.elapsed_seconds();
   }
 
-  // Golden trace + stimuli pre-broadcast once per campaign engine; shared
-  // read-only by every worker thread. Adaptive plans fill in their tail
-  // tiers' images lazily (ensure_image) before any worker spawns.
-  ensure_image(config_.lanes);
+  // Golden trace + stimuli pre-broadcast once per campaign engine at the
+  // configured width; shared read-only by every worker thread.
+  {
+    obs::PhaseSpan span(config_.telemetry, "word_image");
+    WallTimer timer;
+    with_lane_word(config_.lanes, [&]<typename Word>() {
+      image_.emplace<GoldenWordImage<Word>>(golden_, testbench.vectors(),
+                                            config_.num_threads);
+    });
+    telem_.golden_seconds += timer.elapsed_seconds();
+  }
   if (cache_on && config_.telemetry != nullptr) {
     config_.telemetry->record_cache(telem_.cache_hits, telem_.cache_misses,
                                     telem_.cache_bytes_read,
                                     telem_.cache_bytes_written);
   }
-}
-
-void ParallelFaultSimulator::ensure_image(LaneWidth width) {
-  const bool needed = (width == LaneWidth::k64 && !image64_ready_) ||
-                      (width == LaneWidth::k256 && !image256_ready_) ||
-                      (width == LaneWidth::k512 && !image512_ready_);
-  if (!needed) {
-    return;
-  }
-  obs::PhaseSpan span(config_.telemetry, "word_image");
-  WallTimer timer;
-  switch (width) {
-    case LaneWidth::k64:
-      image64_ = GoldenWordImage<std::uint64_t>(golden_, testbench_.vectors(),
-                                                config_.num_threads);
-      image64_ready_ = true;
-      break;
-    case LaneWidth::k256:
-      image256_ = GoldenWordImage<Word256>(golden_, testbench_.vectors(),
-                                           config_.num_threads);
-      image256_ready_ = true;
-      break;
-    case LaneWidth::k512:
-      image512_ = GoldenWordImage<Word512>(golden_, testbench_.vectors(),
-                                           config_.num_threads);
-      image512_ready_ = true;
-      break;
-  }
-  telem_.golden_seconds += timer.elapsed_seconds();
 }
 
 void ParallelFaultSimulator::ensure_site_structures() {
@@ -494,111 +473,22 @@ std::vector<std::uint32_t> ParallelFaultSimulator::schedule_permutation(
 
 // ---- lane-group plan -------------------------------------------------------
 
-template <typename Traits>
 std::vector<ParallelFaultSimulator::GroupSpec>
-ParallelFaultSimulator::group_plan(
-    std::span<const typename Traits::FaultT> faults) {
-  std::vector<GroupSpec> plan;
-  const std::size_t n = faults.size();
+ParallelFaultSimulator::group_plan(std::size_t n) {
   const std::size_t width = lane_count(config_.lanes);
-  const bool adaptive =
-      config_.width_policy == WidthPolicy::kAdaptive && kernel_ != nullptr;
-  if (n != 0 && !adaptive) {
-    // kFixed: consecutive full-width spans — the historical grouping,
-    // bit-identical outcomes *and* metrics.
-    plan.reserve((n + width - 1) / width);
-    for (std::size_t b = 0; b < n; b += width) {
-      plan.push_back({static_cast<std::uint32_t>(b),
-                      static_cast<std::uint32_t>(std::min(width, n - b)),
-                      config_.lanes});
-    }
-  } else if (n != 0) {
-    // kAdaptive, two rules. (1) On sparse campaigns, never cross a
-    // cone-affinity block boundary: the block-major schedule keys by
-    // (block, cycle, rank), so a group packed across blocks unions several
-    // blocks' cones — cheap for dense campaigns (a block spans many groups)
-    // but ruinous for sparse samples, where a full-width group sweeps up
-    // ~width/sample_rate blocks. Cutting at block edges keeps every group's
-    // cone union one block wide. On *dense* campaigns (average block fill
-    // >= 3/4 of the lane width) the fixed packing already aligns with the
-    // blocks, and per-block tails would only add groups — so the whole run
-    // stays one segment. (2) Decompose each segment's tail into the
-    // cheapest tier cover (see CampaignConfig::kTail512Min/kTail256Min):
-    // dead lanes still stream their limbs, so a word wider than its
-    // live-lane count pays full bandwidth for partial work.
-    const std::span<const std::uint32_t> ranks =
-        Traits::kSiteKeyed
-            ? std::span<const std::uint32_t>(site_affinity_rank_)
-            : std::span<const std::uint32_t>(ff_affinity_rank_);
-    const bool affine = config_.schedule == CampaignSchedule::kConeAffine &&
-                        !ranks.empty();
-    const std::uint64_t block = width;
-    const std::uint64_t pad =
-        affine && !Traits::kSiteKeyed
-            ? (block - ff_affinity_rank_.size() % block) % block
-            : 0;
-    const auto block_of = [&](std::size_t i) -> std::uint64_t {
-      return affine ? (ranks[Traits::schedule_site(faults[i])] + pad) / block
-                    : 0;
-    };
-    const auto emit_segment = [&](std::size_t begin, std::size_t end) {
-      std::size_t i = begin;
-      while (end - i >= width) {
-        plan.push_back({static_cast<std::uint32_t>(i),
-                        static_cast<std::uint32_t>(width), config_.lanes});
-        i += width;
-      }
-      while (i < end) {
-        const std::size_t rest = end - i;
-        LaneWidth w = LaneWidth::k64;
-        if (config_.lanes == LaneWidth::k512 &&
-            rest > CampaignConfig::kTail512Min) {
-          w = LaneWidth::k512;
-        } else if (config_.lanes != LaneWidth::k64 &&
-                   rest > CampaignConfig::kTail256Min) {
-          w = LaneWidth::k256;
-        }
-        const std::size_t take = std::min(rest, lane_count(w));
-        plan.push_back({static_cast<std::uint32_t>(i),
-                        static_cast<std::uint32_t>(take), w});
-        i += take;
-      }
-    };
-    // Scheduled order is block-major, so block_of is non-decreasing and the
-    // distinct-block count is one pass.
-    std::size_t distinct_blocks = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (block_of(i) != block_of(i - 1)) ++distinct_blocks;
-    }
-    const bool dense = n * 4 >= distinct_blocks * width * 3;
-    if (dense) {
-      emit_segment(0, n);
-    } else {
-      std::size_t seg_begin = 0;
-      std::uint64_t seg_block = block_of(0);
-      for (std::size_t i = 1; i < n; ++i) {
-        const std::uint64_t b = block_of(i);
-        if (b != seg_block) {
-          emit_segment(seg_begin, i);
-          seg_begin = i;
-          seg_block = b;
-        }
-      }
-      emit_segment(seg_begin, n);
-    }
+  std::vector<GroupSpec> plan;
+  plan.reserve((n + width - 1) / width);
+  for (std::size_t b = 0; b < n; b += width) {
+    plan.push_back({static_cast<std::uint32_t>(b),
+                    static_cast<std::uint32_t>(std::min(width, n - b))});
   }
-
-  GroupWidthCounts counts;
-  std::uint64_t lane_slots = 0;
-  for (const GroupSpec& g : plan) {
-    lane_slots += lane_count(g.width);
-    switch (g.width) {
-      case LaneWidth::k64: ++counts.g64; break;
-      case LaneWidth::k256: ++counts.g256; break;
-      case LaneWidth::k512: ++counts.g512; break;
-    }
+  telem_.group_widths = {};
+  switch (config_.lanes) {
+    case LaneWidth::k64: telem_.group_widths.g64 = plan.size(); break;
+    case LaneWidth::k256: telem_.group_widths.g256 = plan.size(); break;
+    case LaneWidth::k512: telem_.group_widths.g512 = plan.size(); break;
   }
-  telem_.group_widths = counts;
+  const std::size_t lane_slots = plan.size() * width;
   telem_.lane_occupancy =
       lane_slots != 0 ? static_cast<double>(n) /
                             static_cast<double>(lane_slots)
@@ -688,9 +578,9 @@ void ParallelFaultSimulator::run_model(
     select_run_kernel(std::move(preserve));
   }
 
-  // Planning span covers the schedule sort, the permuted copy, the width
-  // plan and any lazily-built tail-tier golden images. Taken manually (not
-  // PhaseSpan) because the planned vectors must outlive the span scope.
+  // Planning span covers the schedule sort, the permuted copy and the group
+  // plan. Taken manually (not PhaseSpan) because the planned vectors must
+  // outlive the span scope.
   const std::uint64_t plan_begin_ns = config_.telemetry ? now_ns() : 0;
 
   const std::vector<std::uint32_t> perm =
@@ -717,13 +607,7 @@ void ParallelFaultSimulator::run_model(
     run_outcomes = scheduled_outcomes;
   }
 
-  // Partition the scheduled list into lane groups (the width policy's
-  // product — see group_plan) and make sure every tier the plan uses has
-  // its golden word image before any worker spawns.
-  const std::vector<GroupSpec> plan = group_plan<Traits>(run_faults);
-  for (const GroupSpec& spec : plan) {
-    ensure_image(spec.width);
-  }
+  const std::vector<GroupSpec> plan = group_plan(run_faults.size());
   if (config_.telemetry != nullptr) {
     config_.telemetry->record_campaign_span("plan", plan_begin_ns, now_ns());
   }
@@ -778,78 +662,62 @@ void ParallelFaultSimulator::run_model(
     return View{group, {cones_.get(), gate_cones_.get(), oracle_.get()}};
   };
 
-  const bool cone = config_.cone_restricted && kernel_ != nullptr;
+  // Runs `grade()` for one group, wrapped in its trace slice. Null telemetry
+  // is the fast path: no timestamps, no recording — the only per-group cost
+  // is the pointer test.
+  const std::uint32_t width = static_cast<std::uint32_t>(
+      lane_count(config_.lanes));
+  const auto traced = [&](const GroupSpec& spec, WorkerScratch& scratch,
+                          const auto& grade) {
+    obs::WorkerTelemetry* const wt = scratch.telemetry;
+    std::uint64_t begin_ns = 0, instrs0 = 0, narrows0 = 0;
+    if (wt != nullptr) {
+      begin_ns = now_ns();
+      instrs0 = scratch.eval_instrs;
+      narrows0 = scratch.narrowings;
+    }
+    grade();
+    if (wt != nullptr) {
+      wt->group_slice(begin_ns, now_ns(), width, spec.count,
+                      static_cast<std::uint32_t>(scratch.narrowings -
+                                                 narrows0),
+                      scratch.eval_instrs - instrs0);
+    }
+  };
+
   if (kernel_) {
-    // Compiled backend, all widths and both width policies: each worker
-    // holds one lazily-constructed engine per tier and every group runs at
-    // its spec'd width.
-    const auto run_tier = [&]<typename Word>(
-                              std::optional<LaneEngine<Word>>& engine,
-                              const GoldenWordImage<Word>& image,
-                              std::span<const FaultT> group_faults,
-                              std::span<FaultOutcome> group_outcomes,
-                              std::span<std::uint64_t> group_sigs,
-                              WorkerScratch& scratch) {
-      if (!engine.has_value()) {
-        engine.emplace(run_kernel_);
-      }
-      const View view = make_view(group_faults);
-      if (cone) {
-        run_group_cone(*engine, image, view, group_outcomes, group_sigs,
-                       scratch);
-      } else {
-        run_group_full(*engine, image, view, group_outcomes, group_sigs,
-                       scratch);
-      }
+    // Compiled backend: one LaneEngine<Word> per worker at the configured
+    // width, chosen once per run.
+    const bool cone = config_.cone_restricted;
+    const auto run_compiled = [&]<typename Word>() {
+      const auto& image = std::get<GoldenWordImage<Word>>(image_);
+      const auto make_engine = [this] { return LaneEngine<Word>(run_kernel_); };
+      const auto run_group = [&](LaneEngine<Word>& engine,
+                                 const GroupSpec& spec,
+                                 std::span<const FaultT> group_faults,
+                                 std::span<FaultOutcome> group_outcomes,
+                                 WorkerScratch& scratch) {
+        const std::span<std::uint64_t> group_sigs = sig_span(spec);
+        traced(spec, scratch, [&] {
+          const View view = make_view(group_faults);
+          if (cone) {
+            run_group_cone(engine, image, view, group_outcomes, group_sigs,
+                           scratch);
+          } else {
+            run_group_full(engine, image, view, group_outcomes, group_sigs,
+                           scratch);
+          }
+        });
+        notify_retire(spec, group_outcomes, group_sigs);
+      };
+      run_sharded<FaultT>(make_engine, run_group, plan, run_faults,
+                          run_outcomes, workers);
     };
-    const auto make_engine = [] { return LaneEngineSet{}; };
-    const auto run_group = [&](LaneEngineSet& engines, const GroupSpec& spec,
-                               std::span<const FaultT> group_faults,
-                               std::span<FaultOutcome> group_outcomes,
-                               WorkerScratch& scratch) {
-      const std::span<std::uint64_t> group_sigs = sig_span(spec);
-      // Null telemetry is the fast path: no timestamps, no recording —
-      // the only per-group cost is this pointer test.
-      obs::WorkerTelemetry* const wt = scratch.telemetry;
-      std::uint64_t begin_ns = 0, instrs0 = 0, narrows0 = 0;
-      if (wt != nullptr) {
-        begin_ns = now_ns();
-        instrs0 = scratch.eval_instrs;
-        narrows0 = scratch.narrowings;
-      }
-      switch (spec.width) {
-        case LaneWidth::k64:
-          run_tier.template operator()<std::uint64_t>(
-              engines.e64, image64_, group_faults, group_outcomes, group_sigs,
-              scratch);
-          break;
-        case LaneWidth::k256:
-          run_tier.template operator()<Word256>(
-              engines.e256, image256_, group_faults, group_outcomes,
-              group_sigs, scratch);
-          break;
-        case LaneWidth::k512:
-          run_tier.template operator()<Word512>(
-              engines.e512, image512_, group_faults, group_outcomes,
-              group_sigs, scratch);
-          break;
-      }
-      if (wt != nullptr) {
-        wt->group_slice(begin_ns, now_ns(),
-                        static_cast<std::uint32_t>(lane_count(spec.width)),
-                        spec.count,
-                        static_cast<std::uint32_t>(scratch.narrowings -
-                                                   narrows0),
-                        scratch.eval_instrs - instrs0);
-      }
-      notify_retire(spec, group_outcomes, group_sigs);
-    };
-    run_sharded<FaultT>(make_engine, run_group, plan, run_faults,
-                        run_outcomes, workers);
+    with_lane_word(config_.lanes, run_compiled);
   } else {
-    // Interpreted backend: full-eval only, 64 lanes only (so the plan is
-    // always fixed 64-wide spans), and no instruction stream to overlay —
-    // the overlay-model check above rejects that configuration up front.
+    // Interpreted backend: full-eval only, 64 lanes only, and no
+    // instruction stream to overlay — the overlay-model check above rejects
+    // that configuration up front.
     if constexpr (!View::kHasOverlay) {
       const auto make_engine = [this] {
         return ParallelSimulator(circuit_, SimBackend::kInterpreted);
@@ -860,19 +728,12 @@ void ParallelFaultSimulator::run_model(
                                  std::span<FaultOutcome> group_outcomes,
                                  WorkerScratch& scratch) {
         const std::span<std::uint64_t> group_sigs = sig_span(spec);
-        obs::WorkerTelemetry* const wt = scratch.telemetry;
-        std::uint64_t begin_ns = 0, instrs0 = 0;
-        if (wt != nullptr) {
-          begin_ns = now_ns();
-          instrs0 = scratch.eval_instrs;
-        }
-        run_group_full(engine, image64_, make_view(group_faults),
-                       group_outcomes, group_sigs, scratch);
-        if (wt != nullptr) {
-          wt->group_slice(begin_ns, now_ns(),
-                          static_cast<std::uint32_t>(lane_count(spec.width)),
-                          spec.count, 0, scratch.eval_instrs - instrs0);
-        }
+        traced(spec, scratch, [&] {
+          run_group_full(engine,
+                         std::get<GoldenWordImage<std::uint64_t>>(image_),
+                         make_view(group_faults), group_outcomes, group_sigs,
+                         scratch);
+        });
         notify_retire(spec, group_outcomes, group_sigs);
       };
       run_sharded<FaultT>(make_engine, run_group, plan, run_faults,
@@ -938,23 +799,38 @@ void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
   // the read-only kernel, cones, slot trace and golden images) and pulls
   // group indices from an atomic counter. Each group writes a disjoint
   // outcome slice, so the result is identical for any worker count or
-  // scheduling order.
+  // scheduling order. The first exception any worker throws (a group or the
+  // retire callback) is captured, pushes the claim counter past the end so
+  // every worker stops after its current group, and is rethrown here once
+  // all workers have joined — an escaping exception on a pool thread, or a
+  // joinable pool unwound by one on worker 0, would std::terminate.
   std::atomic<std::size_t> next_group{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto record_error = [&] {
+    next_group.store(num_groups, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(error_mutex);
+    if (!first_error) first_error = std::current_exception();
+  };
   std::atomic<std::uint64_t> total_eval_cycles{0};
   std::atomic<std::uint64_t> total_eval_instrs{0};
   std::atomic<std::uint64_t> total_eval_slot_bytes{0};
   std::atomic<std::uint64_t> total_narrowings{0};
   const auto worker = [&](unsigned worker_id) {
-    auto engine = make_engine();
     WorkerScratch scratch;
-    if (config_.telemetry != nullptr) {
-      scratch.telemetry = &config_.telemetry->worker(worker_id);
-    }
-    for (std::size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
-         g < num_groups;
-         g = next_group.fetch_add(1, std::memory_order_relaxed)) {
-      const auto [group_faults, group_outcomes] = group_span(g);
-      run_group(engine, plan[g], group_faults, group_outcomes, scratch);
+    try {
+      auto engine = make_engine();
+      if (config_.telemetry != nullptr) {
+        scratch.telemetry = &config_.telemetry->worker(worker_id);
+      }
+      for (std::size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
+           g < num_groups;
+           g = next_group.fetch_add(1, std::memory_order_relaxed)) {
+        const auto [group_faults, group_outcomes] = group_span(g);
+        run_group(engine, plan[g], group_faults, group_outcomes, scratch);
+      }
+    } catch (...) {
+      record_error();
     }
     total_eval_cycles.fetch_add(scratch.eval_cycles,
                                 std::memory_order_relaxed);
@@ -967,12 +843,19 @@ void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
 
   std::vector<std::thread> pool;
   pool.reserve(num_workers - 1);
-  for (unsigned i = 1; i < num_workers; ++i) {
-    pool.emplace_back(worker, i);
+  try {
+    for (unsigned i = 1; i < num_workers; ++i) {
+      pool.emplace_back(worker, i);
+    }
+  } catch (...) {
+    record_error();  // thread creation failed; the started workers still join
   }
   worker(0);  // the calling thread is worker 0
   for (auto& t : pool) {
     t.join();
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
   }
   telem_.eval_cycles = total_eval_cycles.load();
   telem_.eval_instrs = total_eval_instrs.load();
@@ -1201,8 +1084,7 @@ void ParallelFaultSimulator::run_group_cone(LaneEngine<Word>& engine,
     for (std::size_t i = 0; i < group_size; ++i) {
       view.union_cone(scratch.initial_mask, i);
     }
-    run_kernel_->build_subprogram(scratch.initial_mask, scratch.initial_sp,
-                                  nullptr, config_.levelized_arena);
+    run_kernel_->build_subprogram(scratch.initial_mask, scratch.initial_sp);
     scratch.initial_valid = true;
   }
   std::vector<std::uint64_t>& mask = scratch.cone_mask;
@@ -1445,7 +1327,7 @@ void ParallelFaultSimulator::run_group_cone(LaneEngine<Word>& engine,
             const std::uint64_t narrow_begin_ns =
                 scratch.telemetry != nullptr ? now_ns() : 0;
             run_kernel_->build_subprogram(mask, scratch.narrow_sp[narrow_buf],
-                                          sp, config_.levelized_arena);
+                                          sp);
             if (scratch.telemetry != nullptr) {
               scratch.telemetry->narrow_slice(narrow_begin_ns, now_ns());
             }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "fault/campaign_result.h"
@@ -33,38 +34,6 @@ enum class LaneWidth : std::uint32_t {
 
 [[nodiscard]] constexpr std::size_t lane_count(LaneWidth w) noexcept {
   return static_cast<std::size_t>(w);
-}
-
-/// How the scheduler chooses each lane group's width.
-///
-///   kFixed    — every group runs at CampaignConfig::lanes (consecutive
-///               spans of the scheduled list, exactly the historical
-///               grouping) — the default; every pre-existing configuration
-///               is bit-identical, metrics included.
-///   kAdaptive — compiled backend only (silently treated as kFixed when
-///               interpreted). On sparse campaigns groups never cross a
-///               cone-affinity block boundary (under kConeAffine a sampled
-///               campaign's sparse blocks otherwise pack into full-width
-///               groups spanning many blocks, multiplying the cone union
-///               the group evaluates); dense campaigns — average block fill
-///               >= 3/4 of the lane width — keep the fixed packing, whose
-///               groups already align with the blocks. Every segment's tail
-///               drops to the 256/64-lane tier when too few faults remain
-///               to pay for a wide word (see DESIGN.md for the decision
-///               rule). Dead
-///               lanes cost real memory bandwidth — a 512-lane word streams
-///               8x the bytes of a 64-lane word regardless of how many
-///               lanes carry faults. Classifications are identical under
-///               either policy (grouping never affects per-lane grading);
-///               what changes is faults/s, eval_bytes_per_instr and
-///               last_run_lane_occupancy().
-enum class WidthPolicy : std::uint8_t {
-  kFixed,
-  kAdaptive,
-};
-
-[[nodiscard]] constexpr const char* width_policy_name(WidthPolicy p) noexcept {
-  return p == WidthPolicy::kFixed ? "fixed" : "adaptive";
 }
 
 /// How run() orders faults into lane groups. Outcomes always align with the
@@ -132,8 +101,13 @@ enum class ConePolicy : std::uint8_t {
 /// backend (64-lane, full-eval only) is the original engine, kept selectable
 /// so benches and cross-validation tests can measure and check the compiled
 /// paths against it.
+///
+/// A campaign runs at exactly one lane width: every group is a consecutive
+/// `lanes`-wide span of the scheduled fault list (only the last may be
+/// partial), and every worker holds one engine of that width.
 struct CampaignConfig {
   SimBackend backend = SimBackend::kCompiled;
+  /// Faulty machines per lane group (interpreted backend: 64 only).
   LaneWidth lanes = LaneWidth::k64;
   /// Worker threads for group sharding; 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
@@ -148,15 +122,6 @@ struct CampaignConfig {
   /// circuit can never stall the campaign constructor. Only consulted in
   /// eager mode (on-demand always uses anchor ranks); 0 = never greedy.
   std::size_t greedy_order_cap = 2048;
-  /// Per-group lane-width decision (see WidthPolicy). kFixed keeps every
-  /// configuration bit-identical to the historical grouping.
-  WidthPolicy width_policy = WidthPolicy::kFixed;
-  /// Order cone sub-program instructions by (logic level, node id) so each
-  /// level occupies one contiguous arena block and operand reads hit the
-  /// block written just before (see CompiledKernel::build_subprogram).
-  /// Results are bit-identical either way — this is a pure locality knob,
-  /// exposed so benches and the reorder property test can A/B it.
-  bool levelized_arena = true;
   /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
   /// inverter/buffer absorption into per-operand complement flags, constant
   /// folding and dead-logic elimination, under the model's injection-site
@@ -192,17 +157,6 @@ struct CampaignConfig {
 
   /// kAuto switches to on-demand cones at this circuit size.
   static constexpr std::size_t kOnDemandNodeThreshold = 20000;
-
-  /// kAdaptive tail-tier thresholds: a segment tail of more than
-  /// kTail512Min faults keeps the 512-lane word (one group beats any
-  /// decomposition once more than 3/4 of the word is live); a tail of more
-  /// than kTail256Min takes a 256-lane word; anything smaller runs in
-  /// 64-lane chunks. Derived from the measured per-instruction cost model
-  /// cost(width) ~ 1 + limbs(width) in 64-bit-limb units (the constant is
-  /// dispatch/loop overhead): 64/256/512-lane words cost ~2/5/9 units, and
-  /// these cut-offs pick the cheapest exact cover of a tail.
-  static constexpr std::size_t kTail512Min = 384;
-  static constexpr std::size_t kTail256Min = 128;
 };
 
 /// Bit-parallel fault simulation with cone-restricted differential
@@ -260,7 +214,9 @@ struct CampaignConfig {
 /// counter. Every group writes its own outcome slice and the scheduler's
 /// permutation is inverted before returning, so results align with the
 /// caller's fault order and are bit-identical for any thread count, backend,
-/// lane width and schedule.
+/// lane width and schedule. An exception thrown while grading a group (or by
+/// the retire callback) on any worker stops further group claims; every
+/// worker joins and the first exception is rethrown to the caller.
 class ParallelFaultSimulator {
  public:
   ParallelFaultSimulator(const Circuit& circuit, const Testbench& testbench,
@@ -423,23 +379,18 @@ class ParallelFaultSimulator {
     return telem_.bytes_per_instr();
   }
 
-  /// How many lane groups the last run executed at each width tier (see
-  /// obs::GroupWidthCounts — the type moved into the obs layer; this alias
-  /// keeps existing `ParallelFaultSimulator::GroupWidthCounts` callers
-  /// compiling). Under kFixed only the configured tier is non-zero; under
-  /// kAdaptive the tail tiers show how the scheduler decomposed partial
-  /// blocks.
-  using GroupWidthCounts = obs::GroupWidthCounts;
-
-  [[nodiscard]] const GroupWidthCounts& last_run_group_widths() const noexcept {
+  /// How many lane groups the last run executed, counted under the
+  /// configured width's tier (the other tiers stay zero).
+  [[nodiscard]] const obs::GroupWidthCounts& last_run_group_widths()
+      const noexcept {
     return telem_.group_widths;
   }
 
   /// Fraction of lane slots that carried a fault in the last run: injected
   /// lanes / (sum of group widths). 1.0 means every word was full; the
   /// shortfall is pure dead-lane bandwidth (a 512-lane group with 60 live
-  /// faults still streams all 8 limbs of every word). kAdaptive exists to
-  /// push this toward 1.0 on tail-heavy and sparse-sampled campaigns.
+  /// faults still streams all 8 limbs of every word). Only the last group
+  /// of a run can be partial.
   [[nodiscard]] double last_run_lane_occupancy() const noexcept {
     return telem_.lane_occupancy;
   }
@@ -494,14 +445,10 @@ class ParallelFaultSimulator {
   };
 
   /// One scheduled lane group: faults [begin, begin + count) of the
-  /// scheduled list, run at `width` (count <= lane_count(width)). The plan —
-  /// the full partition of a run's scheduled faults into GroupSpecs — is
-  /// what the width policy produces; kFixed yields the historical
-  /// consecutive full-width spans.
+  /// scheduled list (count <= the configured lane width).
   struct GroupSpec {
     std::uint32_t begin = 0;
     std::uint32_t count = 0;
-    LaneWidth width = LaneWidth::k64;
   };
 
   template <typename Engine, typename Word, typename View>
@@ -517,23 +464,18 @@ class ParallelFaultSimulator {
                       std::span<std::uint64_t> sigs,
                       WorkerScratch& scratch) const;
 
+  /// Runs every group of `plan` on `num_workers` workers (the caller is
+  /// worker 0). The first exception any worker throws is rethrown here
+  /// after all workers have joined.
   template <typename FaultT, typename MakeEngine, typename RunGroup>
   void run_sharded(const MakeEngine& make_engine, const RunGroup& run_group,
                    std::span<const GroupSpec> plan,
                    std::span<const FaultT> faults,
                    std::span<FaultOutcome> outcomes, unsigned num_workers);
 
-  /// Partitions the scheduled fault list into lane groups according to
-  /// config_.width_policy (see WidthPolicy). Also records the occupancy and
-  /// per-tier group-count metrics for this run.
-  template <typename Traits>
-  [[nodiscard]] std::vector<GroupSpec> group_plan(
-      std::span<const typename Traits::FaultT> faults);
-
-  /// Builds the pre-broadcast golden word image for `width` if this engine
-  /// has not built it yet (the constructor builds the configured width; an
-  /// adaptive plan's tail tiers are filled in lazily, before workers spawn).
-  void ensure_image(LaneWidth width);
+  /// Partitions `n` scheduled faults into consecutive lane-width groups and
+  /// records the occupancy and group-count metrics for this run.
+  [[nodiscard]] std::vector<GroupSpec> group_plan(std::size_t n);
 
   /// The generic campaign driver every public entry point wraps: validates
   /// the faults through the model descriptor, applies the schedule
@@ -601,12 +543,10 @@ class ParallelFaultSimulator {
   std::vector<std::uint32_t> next_ff_labels_;     // on-demand anchor labels
   std::vector<std::uint32_t> ff_affinity_rank_;   // rank of ff in cone order
   std::vector<std::uint32_t> site_affinity_rank_;  // node id -> site rank
-  GoldenWordImage<std::uint64_t> image64_;
-  GoldenWordImage<Word256> image256_;
-  GoldenWordImage<Word512> image512_;
-  bool image64_ready_ = false;
-  bool image256_ready_ = false;
-  bool image512_ready_ = false;
+  /// Golden trace + stimuli pre-broadcast at the configured lane width.
+  std::variant<GoldenWordImage<std::uint64_t>, GoldenWordImage<Word256>,
+               GoldenWordImage<Word512>>
+      image_;
   RetireCallback retire_cb_;
   bool capture_signatures_ = false;
   std::vector<std::uint64_t> last_run_signatures_;

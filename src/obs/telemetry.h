@@ -14,11 +14,8 @@ namespace femu::obs {
 
 class TelemetryCollector;
 
-/// Lane-group counts per width tier for one run (formerly nested in
-/// ParallelFaultSimulator; the engine keeps a compatibility alias). Under
-/// a fixed width policy only the configured tier is non-zero; under the
-/// adaptive policy the tail tiers show how the scheduler decomposed
-/// partial blocks.
+/// Lane-group counts per width tier for one run. A campaign runs at one
+/// lane width, so only the configured tier is non-zero.
 struct GroupWidthCounts {
   std::uint64_t g64 = 0;
   std::uint64_t g256 = 0;

@@ -174,7 +174,9 @@ class CompiledKernel {
   /// overlay merge is unaffected; overlay dests are translated through this
   /// build's local_of_slot as always. A narrowing derivation inherits the
   /// source's order (a subsequence of a levelized stream is levelized), so
-  /// the flag only matters for full builds.
+  /// the flag only matters for full builds. The campaign engine always
+  /// levelizes; `levelize = false` (filtered netlist order) survives only as
+  /// the reference layout the sub-program property tests compare against.
   void build_subprogram(std::span<const std::uint64_t> mask,
                         ConeSubProgram& sp,
                         const ConeSubProgram* narrow_from = nullptr,

@@ -160,6 +160,34 @@ TEST(AutonomousEmulatorTest, ReportIsConsistent) {
   }
 }
 
+// One grading for several techniques must equal grading once per technique:
+// same outcomes, same cycle account and same area for each technique.
+TEST(AutonomousEmulatorTest, MultiTechniqueRunMatchesPerTechniqueRuns) {
+  const Circuit circuit = circuits::build_b03_like();
+  const Testbench tb = random_testbench(circuit.num_inputs(), 40, 9);
+  const auto faults =
+      sample_fault_list(circuit.num_dffs(), tb.num_cycles(), 300, 4);
+  AutonomousEmulator emulator(circuit, tb);
+
+  const std::vector<Technique> techniques(kAllTechniques.begin(),
+                                          kAllTechniques.end());
+  const std::vector<EmulationReport> reports =
+      emulator.run(techniques, faults);
+  ASSERT_EQ(reports.size(), techniques.size());
+  for (std::size_t i = 0; i < techniques.size(); ++i) {
+    const EmulationReport single = emulator.run(techniques[i], faults);
+    const EmulationReport& multi = reports[i];
+    EXPECT_EQ(multi.technique, techniques[i]);
+    EXPECT_EQ(multi.grading.outcomes(), single.grading.outcomes());
+    EXPECT_EQ(multi.cycles.setup_cycles, single.cycles.setup_cycles);
+    EXPECT_EQ(multi.cycles.fault_cycles, single.cycles.fault_cycles);
+    EXPECT_DOUBLE_EQ(multi.emulation_seconds, single.emulation_seconds);
+    ASSERT_TRUE(multi.area.has_value() && single.area.has_value());
+    EXPECT_EQ(multi.area->system().luts, single.area->system().luts);
+    EXPECT_EQ(multi.area->system().ffs, single.area->system().ffs);
+  }
+}
+
 // Time-mux must be the fastest technique (the paper's headline claim) on a
 // workload big enough to be representative.
 TEST(AutonomousEmulatorTest, TimeMuxIsFastest) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "circuits/generators.h"
+#include "circuits/registry.h"
+#include "common/error.h"
 #include "fault/fault_list.h"
 #include "fault/journal.h"
 #include "fault/parallel_faultsim.h"
@@ -365,6 +368,37 @@ TEST(JournaledCampaignDegrade, SignaturelessJournalWithCaptureRequired) {
   EXPECT_NE(report.warning.find("signature"), std::string::npos);
   EXPECT_EQ(report.graded, faults.size());
   remove_journal(path);
+}
+
+// ---- worker errors ---------------------------------------------------------
+
+TEST(RetireCallback, ThrowOnAWorkerSurfacesAsErrorOnTheCaller) {
+  // The journal's retire callback throws on a failed write, on whichever
+  // worker retired the group. A throw on a pool thread (or on worker 0 while
+  // the pool is still running) must reach the caller as the original error,
+  // never std::terminate.
+  const Circuit c = circuits::build_by_name("b14");
+  const Testbench tb = random_testbench(c.num_inputs(), 48, 2005);
+  const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
+  CampaignConfig config;
+  config.num_threads = 4;
+  ParallelFaultSimulator sim(c, tb, config);
+
+  std::atomic<int> calls{0};
+  sim.set_retire_callback([&](std::span<const std::uint32_t>,
+                              std::span<const FaultOutcome>,
+                              std::span<const std::uint64_t>) {
+    if (calls.fetch_add(1) + 1 == 3) {
+      throw Error("journal write failed");
+    }
+  });
+  EXPECT_THROW((void)sim.run(faults), Error);
+  EXPECT_GE(calls.load(), 3);
+
+  // The engine stays usable: the next run grades every fault.
+  sim.set_retire_callback({});
+  ParallelFaultSimulator reference(c, tb, config);
+  EXPECT_EQ(sim.run(faults).outcomes(), reference.run(faults).outcomes());
 }
 
 // ---- kill-and-resume -------------------------------------------------------

@@ -392,22 +392,5 @@ TEST(KernelOptSlowTest, B14AllModelsBitIdenticalAcrossTiersAndThreads) {
                                /*threads=*/1);
 }
 
-TEST(KernelOptSlowTest, B14AdaptiveWidthPolicyBitIdentical) {
-  const Circuit c = circuits::build_by_name("b14");
-  const std::size_t cycles = 96;
-  const Testbench tb = random_testbench(c.num_inputs(), cycles, 2005);
-  const auto seu = sample_fault_list(c.num_dffs(), cycles, 2500, 31);
-  CampaignConfig cfg_on =
-      campaign_config(true, LaneWidth::k512, /*cone=*/true, 2);
-  cfg_on.width_policy = WidthPolicy::kAdaptive;
-  CampaignConfig cfg_off = cfg_on;
-  cfg_off.optimize = false;
-  ParallelFaultSimulator on(c, tb, cfg_on);
-  ParallelFaultSimulator off(c, tb, cfg_off);
-  EXPECT_EQ(on.run(seu).outcomes(), off.run(seu).outcomes());
-  const auto& t = on.telemetry_snapshot();
-  EXPECT_GT(t.opt_raw_instrs, t.opt_instrs);
-}
-
 }  // namespace
 }  // namespace femu

@@ -2,7 +2,8 @@
 // the reordered sub-program must be a pure layout change — same instruction
 // multiset, strictly-ascending arena destinations, bit-identical lane states
 // against the unordered build on random circuits, including post-narrow_from
-// re-derivations and overlay-carrying (SET / stuck-at style) evaluation.
+// re-derivations and overlay-carrying (SET / stuck-at style) evaluation. The
+// campaign engine always levelizes; the unordered build is the reference.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,6 @@
 #include <vector>
 
 #include "circuits/generators.h"
-#include "circuits/registry.h"
-#include "fault/fault_list.h"
-#include "fault/parallel_faultsim.h"
-#include "fault/set_model.h"
-#include "fault/stuckat_model.h"
 #include "netlist/fanout_cones.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden.h"
@@ -269,82 +265,6 @@ TEST(LevelizedArenaTest, LaneStatesBitIdenticalWithForceOverlay) {
   const Testbench tb = random_testbench(c.num_inputs(), 24, 24);
   drive_and_compare(c, tb, std::vector<std::size_t>{0, 3, 8},
                     /*with_overlay=*/true, /*force_overlay=*/true);
-}
-
-// ---- campaign-level equivalence --------------------------------------------
-
-CampaignConfig campaign_config(bool levelized, unsigned threads = 1) {
-  CampaignConfig config{SimBackend::kCompiled, LaneWidth::k256, threads,
-                        /*cone_restricted=*/true,
-                        CampaignSchedule::kConeAffine};
-  config.levelized_arena = levelized;
-  return config;
-}
-
-TEST(LevelizedArenaTest, CampaignOutcomesAndWorkIdenticalEitherLayout) {
-  // levelized_arena is a pure locality knob: identical classifications and
-  // identical work metrics (instruction/byte counts, narrowings) for SEU,
-  // SET and stuck-at — the overlay models exercise the merge against the
-  // reordered stream, including post-narrowing re-derivations.
-  const Circuit c = random_circuit(31);
-  const Testbench tb = random_testbench(c.num_inputs(), 32, 33);
-  const auto seu = complete_fault_list(c.num_dffs(), tb.num_cycles());
-  const SetSites sites(c);
-  const auto set = sample_set_fault_list(sites, tb.num_cycles(), 400, 35);
-  const auto stuck = complete_stuckat_fault_list(sites);
-
-  ParallelFaultSimulator on(c, tb, campaign_config(true));
-  ParallelFaultSimulator off(c, tb, campaign_config(false));
-
-  const CampaignResult seu_on = on.run(seu);
-  const CampaignResult seu_off = off.run(seu);
-  ASSERT_EQ(seu_on.outcomes().size(), seu_off.outcomes().size());
-  for (std::size_t i = 0; i < seu_on.outcomes().size(); ++i) {
-    ASSERT_EQ(seu_on.outcomes()[i], seu_off.outcomes()[i]) << "seu @" << i;
-  }
-  EXPECT_EQ(on.last_run_eval_instrs(), off.last_run_eval_instrs());
-  EXPECT_EQ(on.last_run_eval_slot_bytes(), off.last_run_eval_slot_bytes());
-  EXPECT_EQ(on.last_run_narrowings(), off.last_run_narrowings());
-
-  const SetCampaignResult set_on = on.run_set(set);
-  const SetCampaignResult set_off = off.run_set(set);
-  ASSERT_EQ(set_on.outcomes, set_off.outcomes);
-  EXPECT_EQ(on.last_run_eval_instrs(), off.last_run_eval_instrs());
-
-  const StuckAtCampaignResult sa_on = on.run_stuckat(stuck);
-  const StuckAtCampaignResult sa_off = off.run_stuckat(stuck);
-  ASSERT_EQ(sa_on.outcomes, sa_off.outcomes);
-}
-
-TEST(LevelizedArenaSlowTest, B14CampaignIdenticalAcrossLayoutAndThreads) {
-  // b14 scale, both layouts, 1 and 4 workers: classifications and work
-  // metrics must all agree (the layout changes memory order only).
-  const Circuit c = circuits::build_by_name("b14");
-  const Testbench tb = random_testbench(c.num_inputs(), 48, 2006);
-  const auto faults =
-      sample_fault_list(c.num_dffs(), tb.num_cycles(), 1200, 2006);
-
-  std::vector<FaultOutcome> ref;
-  std::uint64_t ref_instrs = 0;
-  bool have_ref = false;
-  for (const bool levelized : {true, false}) {
-    for (const unsigned threads : {1u, 4u}) {
-      ParallelFaultSimulator sim(c, tb, campaign_config(levelized, threads));
-      const CampaignResult result = sim.run(faults);
-      if (!have_ref) {
-        ref.assign(result.outcomes().begin(), result.outcomes().end());
-        ref_instrs = sim.last_run_eval_instrs();
-        have_ref = true;
-        continue;
-      }
-      ASSERT_EQ(ref.size(), result.outcomes().size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(ref[i], result.outcomes()[i])
-            << (levelized ? "lev" : "unlev") << " " << threads << "t @" << i;
-      }
-      EXPECT_EQ(sim.last_run_eval_instrs(), ref_instrs);
-    }
-  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuits/generators.h"
+#include "circuits/registry.h"
 #include "fault/fault_list.h"
 #include "fault/journal.h"
 #include "fault/mbu.h"
@@ -164,6 +165,56 @@ TEST(TelemetryCampaignTest, MergedMetricsBitIdenticalOneVsFourThreads) {
     EXPECT_EQ(ha.min, hb.min) << hist_names[i];
     EXPECT_EQ(ha.max, hb.max) << hist_names[i];
   }
+}
+
+TEST(TelemetryCampaignTest, B14WorkMetricsIdenticalOneVsFourThreads) {
+  // The group plan is computed before sharding, so classifications and the
+  // engine's own work metrics must be identical for any worker count — run
+  // each thread count twice to catch nondeterminism, on a b14-scale sampled
+  // campaign at 512 lanes.
+  const Circuit c = circuits::build_by_name("b14");
+  const Testbench tb = random_testbench(c.num_inputs(), 48, 2005);
+  const auto faults =
+      sample_fault_list(c.num_dffs(), tb.num_cycles(), 1500, 2005);
+
+  ParallelFaultSimulator ref(c, tb, cone_config(LaneWidth::k512, 1));
+  const CampaignResult ref_result = ref.run(faults);
+  for (const unsigned threads : {1u, 4u}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ParallelFaultSimulator sim(c, tb, cone_config(LaneWidth::k512, threads));
+      expect_same_outcomes(ref_result.outcomes(), sim.run(faults).outcomes(),
+                           "b14-512");
+      expect_same_work_metrics(ref, sim, threads == 1 ? "1t" : "4t");
+    }
+  }
+}
+
+// ---- group plan --------------------------------------------------------------
+
+TEST(TelemetryCampaignTest, FixedWidthPlanCountsGroupsAtTheConfiguredTier) {
+  // Groups are consecutive lane-width spans: ceil(n / width) of them, all
+  // counted at the configured tier, and only the last may be partial.
+  const Circuit c = circuits::build_by_name("b06_like");
+  const Testbench tb = random_testbench(c.num_inputs(), 32, 5);
+  const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
+  const std::size_t n = faults.size();
+
+  ParallelFaultSimulator sim64(c, tb, cone_config(LaneWidth::k64, 1));
+  (void)sim64.run(faults);
+  const std::size_t groups64 = (n + 63) / 64;
+  EXPECT_EQ(sim64.last_run_group_widths().g64, groups64);
+  EXPECT_EQ(sim64.last_run_group_widths().total(), groups64);
+  EXPECT_DOUBLE_EQ(sim64.last_run_lane_occupancy(),
+                   static_cast<double>(n) / static_cast<double>(groups64 * 64));
+  if (n % 64 == 0) {
+    EXPECT_DOUBLE_EQ(sim64.last_run_lane_occupancy(), 1.0);
+  }
+
+  ParallelFaultSimulator sim512(c, tb, cone_config(LaneWidth::k512, 1));
+  (void)sim512.run(faults);
+  const std::size_t groups512 = (n + 511) / 512;
+  EXPECT_EQ(sim512.last_run_group_widths().g512, groups512);
+  EXPECT_EQ(sim512.last_run_group_widths().total(), groups512);
 }
 
 // ---- exported JSON ----------------------------------------------------------
