@@ -28,8 +28,9 @@
 // per-pass deletions), and the identical-classification cross-check
 // covers opt-on vs opt-off rows of the same model like any other pair.
 //
-// Pipelines at or above the on-demand threshold run with on-demand cone
-// derivation automatically (ConePolicy::kAuto), so the matrix also tracks
+// Circuits with more FFs than CampaignConfig::greedy_order_cap (or at least
+// CampaignConfig::kOnDemandNodeThreshold nodes) derive cones on demand with
+// the anchor order; pipe32x128 (4,096 FFs) is one, so the matrix also tracks
 // the oracle's schedule-construction cost in the wall-clock numbers.
 //
 // Classification counts are cross-checked across all configurations of the
@@ -510,8 +511,8 @@ int main(int argc, char** argv) {
   // Cone-restricted engines across the three lane widths on sampled SEU
   // campaigns. The family spans ~0.8k to ~12k gates, so the per-family
   // lane-width trend shows where each circuit shape's working set crosses
-  // the cache hierarchy (pipe32x128 runs with on-demand cones via kAuto
-  // once it crosses the node threshold).
+  // the cache hierarchy (pipe32x128, past the greedy FF cap, runs with
+  // on-demand cones and the anchor order).
   struct Family {
     const char* name;
     std::size_t stages;
@@ -543,8 +544,9 @@ int main(int argc, char** argv) {
          noopt_cone_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
     };
-    // Cache twins on the largest family only — it has the tallest setup
-    // wall (the eager-cone build), so it is the speedup evidence.
+    // Cache twins on the largest family only — it has the largest setup
+    // artifacts (golden slot trace, cone oracle), so it is the cache's
+    // evidence.
     std::string family_cache_dir;
     if (family.name == std::string("pipe32x128")) {
       family_cache_dir = fresh_cache_dir(family.name);

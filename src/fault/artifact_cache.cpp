@@ -27,6 +27,8 @@ void put(Payload& out, T v) {
 template <typename T>
 void put_vec(Payload& out, std::span<const T> v) {
   put<std::uint64_t>(out, v.size());
+  // memcpy from an empty span's null data() is undefined even at length 0.
+  if (v.empty()) return;
   const std::size_t at = out.size();
   out.resize(at + v.size() * sizeof(T));
   std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
@@ -35,6 +37,7 @@ void put_vec(Payload& out, std::span<const T> v) {
 void put_bitvec(Payload& out, const BitVec& v) {
   put<std::uint64_t>(out, v.size());
   const std::span<const std::uint64_t> words = v.words();
+  if (words.empty()) return;
   const std::size_t at = out.size();
   out.resize(at + words.size() * sizeof(std::uint64_t));
   std::memcpy(out.data() + at, words.data(),
@@ -52,6 +55,7 @@ struct Reader {
     if (size - pos < len) {
       return false;
     }
+    if (len == 0) return true;
     std::memcpy(out, data + pos, len);
     pos += len;
     return true;

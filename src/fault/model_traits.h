@@ -16,9 +16,10 @@
 
 namespace femu {
 
-/// The cone source behind a campaign: eager materialized matrices or the
-/// on-demand oracle (ConePolicy). Both derive bit-identical cones; the
-/// group runners never know which one is active.
+/// The cone source behind a campaign: the materialized matrices when the
+/// greedy FF order runs, the on-demand oracle otherwise (see
+/// ParallelFaultSimulator::on_demand_cones). Both derive bit-identical
+/// cones; the group runners never know which one is active.
 struct ConeBackend {
   const FanoutCones* eager_ff = nullptr;
   const GateCones* eager_gate = nullptr;

@@ -140,10 +140,11 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
       config_.backend == SimBackend::kCompiled ||
           config_.lanes == LaneWidth::k64,
       "interpreted backend supports 64 lanes only");
+  // The cone matrix is materialized exactly when the greedy FF order, its
+  // one consumer, runs; past either size bound the oracle serves unions.
   on_demand_cones_ =
-      config_.cone_policy == ConePolicy::kOnDemand ||
-      (config_.cone_policy == ConePolicy::kAuto &&
-       circuit.node_count() >= CampaignConfig::kOnDemandNodeThreshold);
+      circuit.num_dffs() > CampaignConfig::greedy_order_cap ||
+      circuit.node_count() >= CampaignConfig::kOnDemandNodeThreshold;
   words_per_cone_ = (circuit.node_count() + 63) / 64;
   const bool cones_for_eval =
       config_.cone_restricted && config_.backend == SimBackend::kCompiled;
@@ -177,7 +178,8 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
     cache_key.shape = artifact_shape_hash(
         on_demand_cones_, need_cones, cones_for_eval, cache_opt_kernel,
         (need_cones && !on_demand_cones_) ? lane_count(config_.lanes) : 0,
-        (need_cones && !on_demand_cones_) ? config_.greedy_order_cap : 0);
+        (need_cones && !on_demand_cones_) ? CampaignConfig::greedy_order_cap
+                                          : 0);
     ArtifactLoadResult loaded =
         load_artifacts(config_.cache_dir, cache_key, circuit);
     telem_.cache_bytes_read = loaded.bytes;
@@ -264,9 +266,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
         if (cones_ == nullptr) {
           cones_ = std::make_unique<FanoutCones>(circuit, build_threads);
         }
-        order = cone_affine_ff_order(circuit, *cones_,
-                                     lane_count(config_.lanes),
-                                     config_.greedy_order_cap);
+        order = cone_affine_ff_order(*cones_, lane_count(config_.lanes));
       }
       if (!have_rank) {
         ff_affinity_rank_.resize(order.size());

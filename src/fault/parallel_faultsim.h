@@ -63,35 +63,6 @@ enum class CampaignSchedule : std::uint8_t {
   return "?";
 }
 
-/// How the engine obtains fanout cones (a memory/latency trade-off; never
-/// affects outcomes — eager and on-demand derive bit-identical cones).
-///
-///   kEager    — materialize the full per-FF (and, for SET, per-gate)
-///               cone matrices up front: O(items x nodes) bits. Fast
-///               per-group unions; prohibitive above a few 10k gates.
-///   kOnDemand — keep only the reachability CSR (ConeOracle) and derive
-///               each scheduled block's cone union by one DFS when a
-///               worker first claims it; scheduling uses the near-linear
-///               anchor-rank orders. O(edges) memory, near-linear
-///               campaign construction — the only mode that scales to
-///               100k-gate circuits.
-///   kAuto     — eager below kOnDemandNodeThreshold circuit nodes,
-///               on-demand at or above it.
-enum class ConePolicy : std::uint8_t {
-  kAuto,
-  kEager,
-  kOnDemand,
-};
-
-[[nodiscard]] constexpr const char* cone_policy_name(ConePolicy p) noexcept {
-  switch (p) {
-    case ConePolicy::kAuto: return "auto";
-    case ConePolicy::kEager: return "eager";
-    case ConePolicy::kOnDemand: return "on-demand";
-  }
-  return "?";
-}
-
 /// Campaign engine configuration.
 ///
 /// The default — compiled kernel, 64 lanes, cone-restricted differential
@@ -115,13 +86,6 @@ struct CampaignConfig {
   /// the golden baseline (compiled backend only; ignored when interpreted).
   bool cone_restricted = true;
   CampaignSchedule schedule = CampaignSchedule::kConeAffine;
-  /// Eager cone matrices vs on-demand CSR derivation (see ConePolicy).
-  ConePolicy cone_policy = ConePolicy::kAuto;
-  /// FF count above which the quadratic greedy cone-affine FF ordering is
-  /// skipped in favour of the near-linear anchor-rank ordering, so a large
-  /// circuit can never stall the campaign constructor. Only consulted in
-  /// eager mode (on-demand always uses anchor ranks); 0 = never greedy.
-  std::size_t greedy_order_cap = 2048;
   /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
   /// inverter/buffer absorption into per-operand complement flags, constant
   /// folding and dead-logic elimination, under the model's injection-site
@@ -129,7 +93,7 @@ struct CampaignConfig {
   /// stay materialized. Compiled backend only (the interpreted backend is
   /// the unoptimized cross-validation oracle); classifications are
   /// bit-identical on vs off for every model, lane width, schedule, cone
-  /// policy and thread count — off is the A/B baseline benches measure the
+  /// source and thread count — off is the A/B baseline benches measure the
   /// instruction reduction against. Cones, golden traces and images are
   /// always derived from the raw circuit/kernel; only the executed
   /// instruction stream changes.
@@ -155,7 +119,13 @@ struct CampaignConfig {
   /// bit-identical cold vs warm.
   std::string cache_dir;
 
-  /// kAuto switches to on-demand cones at this circuit size.
+  /// The cone source is not a knob: the engine materializes the cone
+  /// matrices (FanoutCones, and GateCones for site-keyed models) exactly
+  /// when the quadratic greedy cone-affine order will run,
+  ///   num_dffs() <= greedy_order_cap && node_count() < kOnDemandNodeThreshold,
+  /// and otherwise derives unions through the ConeOracle and schedules by
+  /// the anchor-rank orders. Outcomes are identical either way.
+  static constexpr std::size_t greedy_order_cap = 2048;
   static constexpr std::size_t kOnDemandNodeThreshold = 20000;
 };
 
@@ -307,21 +277,24 @@ class ParallelFaultSimulator {
     return last_run_signatures_;
   }
 
-  /// Per-FF fanout cones. Built when the engine runs in eager cone mode and
-  /// the cone-restricted engine is active (compiled backend) or the
-  /// cone-affine schedule needs them as a grouping heuristic (any backend);
-  /// null otherwise — in particular always null in on-demand mode, where
-  /// cone_oracle() serves instead.
+  /// Per-FF fanout cones. Built when the circuit is small enough for the
+  /// greedy order (see CampaignConfig::greedy_order_cap) and the
+  /// cone-restricted engine is active (compiled backend) or the cone-affine
+  /// schedule needs them as a grouping heuristic (any backend); null
+  /// otherwise — in particular always null when on_demand_cones() holds,
+  /// where cone_oracle() serves instead.
   [[nodiscard]] const FanoutCones* cones() const noexcept {
     return cones_.get();
   }
 
-  /// On-demand cone oracle; null in eager mode.
+  /// On-demand cone oracle; null when the cone matrix is materialized.
   [[nodiscard]] const ConeOracle* cone_oracle() const noexcept {
     return oracle_.get();
   }
 
-  /// True when this engine derives cones on demand (resolved kAuto).
+  /// True when this engine derives cones on demand: the circuit has more
+  /// than CampaignConfig::greedy_order_cap FFs or at least
+  /// CampaignConfig::kOnDemandNodeThreshold nodes.
   [[nodiscard]] bool on_demand_cones() const noexcept {
     return on_demand_cones_;
   }
@@ -518,7 +491,7 @@ class ParallelFaultSimulator {
   const Circuit& circuit_;
   const Testbench& testbench_;
   CampaignConfig config_;
-  bool on_demand_cones_ = false;  // resolved cone policy
+  bool on_demand_cones_ = false;  // cone source, fixed at construction
   std::size_t words_per_cone_ = 0;
   GoldenTrace golden_;
   std::shared_ptr<const CompiledKernel> kernel_;  // null when interpreted

@@ -206,16 +206,16 @@ class ConeOracle {
 /// instead of the whole circuit.
 ///
 /// The greedy is O(FFs² x cone words) — fine for hundreds of FFs,
-/// intractable for tens of thousands; prefer the capped overload below on
-/// anything whose FF count is not known to be small.
+/// intractable for tens of thousands. The campaign engine runs it only on
+/// circuits within CampaignConfig::greedy_order_cap FFs; elsewhere prefer
+/// the capped overload below.
 [[nodiscard]] std::vector<std::uint32_t> cone_affine_ff_order(
     const FanoutCones& cones, std::size_t group_width);
 
 /// cone_affine_ff_order with a stall guard: when the FF count exceeds
 /// `greedy_cap` the quadratic greedy is skipped entirely and the
 /// near-linear anchor-rank ordering (cone_affine_ff_order_anchor) is
-/// returned instead, so a pathological config can never stall the campaign
-/// constructor. `greedy_cap == 0` means "never run the greedy".
+/// returned instead. `greedy_cap == 0` means "never run the greedy".
 [[nodiscard]] std::vector<std::uint32_t> cone_affine_ff_order(
     const Circuit& circuit, const FanoutCones& cones, std::size_t group_width,
     std::size_t greedy_cap);

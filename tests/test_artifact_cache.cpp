@@ -125,7 +125,7 @@ ArtifactCacheKey engine_key(const Circuit& circuit, const Testbench& tb,
   key.shape = artifact_shape_hash(
       /*on_demand_cones=*/false, /*need_cones=*/true, /*slot_trace=*/true,
       /*opt_kernel=*/config.optimize, lane_count(config.lanes),
-      config.greedy_order_cap);
+      CampaignConfig::greedy_order_cap);
   return key;
 }
 

@@ -1,19 +1,23 @@
 // On-demand cone derivation (ConeOracle), the anchor-rank orderings and
 // the greedy-cap fallback: derived cones must be bit-identical to the
-// eager FanoutCones / GateCones matrices, and campaigns must grade
-// identically under every ConePolicy.
+// eager FanoutCones / GateCones matrices, the engine must pick its cone
+// source by the one size rule, and campaigns on the oracle side of that
+// rule must grade identically to the serial references.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 
+#include "circuits/b14.h"
 #include "circuits/generators.h"
-#include "circuits/registry.h"
 #include "fault/fault_list.h"
+#include "fault/mbu.h"
 #include "fault/parallel_faultsim.h"
+#include "fault/serial_faultsim.h"
 #include "fault/set_model.h"
 #include "netlist/fanout_cones.h"
+#include "oracle_side.h"
 #include "stim/generate.h"
 
 namespace femu {
@@ -138,106 +142,95 @@ TEST(AnchorOrderTest, SiteRankAnchorIsAPermutationOverGates) {
   }
 }
 
-// ---- campaign equivalence across cone policies -----------------------------
+// ---- the cone-source rule --------------------------------------------------
 
-CampaignConfig policy_config(ConePolicy policy, LaneWidth lanes,
-                             unsigned threads = 1) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                        /*cone_restricted=*/true,
-                        CampaignSchedule::kConeAffine};
-  config.cone_policy = policy;
-  return config;
-}
+TEST(ConeSourceRuleTest, MatrixExactlyWhenTheGreedyOrderRuns) {
+  // b14 (215 FFs): the greedy FF order runs, so the matrix is built.
+  const Circuit b14 = circuits::build_b14();
+  const Testbench tb14 = random_testbench(b14.num_inputs(), 4, 1);
+  ParallelFaultSimulator matrix(b14, tb14);
+  EXPECT_FALSE(matrix.on_demand_cones());
+  EXPECT_NE(matrix.cones(), nullptr);
+  EXPECT_EQ(matrix.cone_oracle(), nullptr);
 
-TEST(ConePolicyTest, SeuOutcomesIdenticalEagerVsOnDemand) {
-  const Circuit c = random_circuit(13);
-  const Testbench tb = random_testbench(c.num_inputs(), 32, 14);
-  const auto faults = complete_fault_list(c.num_dffs(), tb.num_cycles());
+  // Past the FF cap but under the node threshold: the anchor order runs,
+  // so a matrix would serve unions only, and the oracle serves those.
+  const Circuit wide = circuits::build_pipeline(32, 128);
+  ASSERT_GT(wide.num_dffs(), CampaignConfig::greedy_order_cap);
+  ASSERT_LT(wide.node_count(), CampaignConfig::kOnDemandNodeThreshold);
+  const Testbench tb_wide = random_testbench(wide.num_inputs(), 4, 2);
+  ParallelFaultSimulator wide_sim(wide, tb_wide);
+  EXPECT_TRUE(wide_sim.on_demand_cones());
+  EXPECT_EQ(wide_sim.cones(), nullptr);
+  EXPECT_NE(wide_sim.cone_oracle(), nullptr);
 
-  ParallelFaultSimulator eager(c, tb,
-                               policy_config(ConePolicy::kEager,
-                                             LaneWidth::k64));
-  const CampaignResult ref = eager.run(faults);
-  EXPECT_FALSE(eager.on_demand_cones());
-  EXPECT_NE(eager.cones(), nullptr);
-  EXPECT_EQ(eager.cone_oracle(), nullptr);
-
-  for (const LaneWidth lanes :
-       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
-    for (const unsigned threads : {1u, 3u}) {
-      ParallelFaultSimulator od(
-          c, tb, policy_config(ConePolicy::kOnDemand, lanes, threads));
-      EXPECT_TRUE(od.on_demand_cones());
-      EXPECT_EQ(od.cones(), nullptr);
-      EXPECT_NE(od.cone_oracle(), nullptr);
-      const CampaignResult got = od.run(faults);
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_EQ(ref.outcomes()[i], got.outcomes()[i])
-            << "lanes=" << lane_count(lanes) << " threads=" << threads
-            << " fault @" << i;
-      }
-    }
-  }
-}
-
-TEST(ConePolicyTest, SetOutcomesIdenticalEagerVsOnDemand) {
-  const Circuit c = random_circuit(15, 200, 14);
-  const Testbench tb = random_testbench(c.num_inputs(), 24, 16);
-  const SetSites sites(c);
-  const auto faults = complete_set_fault_list(sites, tb.num_cycles());
-
-  ParallelFaultSimulator eager(c, tb,
-                               policy_config(ConePolicy::kEager,
-                                             LaneWidth::k64));
-  const SetCampaignResult ref = eager.run_set(faults);
-
-  for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k512}) {
-    for (const unsigned threads : {1u, 4u}) {
-      ParallelFaultSimulator od(
-          c, tb, policy_config(ConePolicy::kOnDemand, lanes, threads));
-      const SetCampaignResult got = od.run_set(faults);
-      ASSERT_EQ(ref.outcomes.size(), got.outcomes.size());
-      for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
-        ASSERT_EQ(ref.outcomes[i], got.outcomes[i])
-            << "lanes=" << lane_count(lanes) << " threads=" << threads
-            << " set fault @" << i;
-      }
-    }
-  }
-}
-
-TEST(ConePolicyTest, MbuOutcomesIdenticalEagerVsOnDemand) {
-  const Circuit c = random_circuit(17);
-  const Testbench tb = random_testbench(c.num_inputs(), 24, 18);
-  const auto faults = adjacent_pair_fault_list(c.num_dffs(), tb.num_cycles());
-
-  ParallelFaultSimulator eager(c, tb,
-                               policy_config(ConePolicy::kEager,
-                                             LaneWidth::k64));
-  ParallelFaultSimulator od(c, tb,
-                            policy_config(ConePolicy::kOnDemand,
-                                          LaneWidth::k64));
-  const MbuCampaignResult ref = eager.run_mbu(faults);
-  const MbuCampaignResult got = od.run_mbu(faults);
-  ASSERT_EQ(ref.outcomes.size(), got.outcomes.size());
-  for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
-    ASSERT_EQ(ref.outcomes[i], got.outcomes[i]) << "mbu fault @" << i;
-  }
-}
-
-TEST(ConePolicyTest, AutoResolvesByCircuitSize) {
-  const Circuit small = circuits::build_by_name("b06_like");
-  const Testbench tb_small = random_testbench(small.num_inputs(), 8, 1);
-  ParallelFaultSimulator sim_small(small, tb_small);
-  EXPECT_FALSE(sim_small.on_demand_cones());
-
-  const Circuit big = circuits::build_pipeline(64, 96);  // ~25k nodes
+  // At the node threshold.
+  const Circuit big = circuits::build_pipeline(64, 96);
   ASSERT_GE(big.node_count(), CampaignConfig::kOnDemandNodeThreshold);
-  const Testbench tb_big = random_testbench(big.num_inputs(), 4, 2);
-  ParallelFaultSimulator sim_big(big, tb_big);
-  EXPECT_TRUE(sim_big.on_demand_cones());
-  EXPECT_EQ(sim_big.cones(), nullptr);
+  const Testbench tb_big = random_testbench(big.num_inputs(), 4, 3);
+  ParallelFaultSimulator big_sim(big, tb_big);
+  EXPECT_TRUE(big_sim.on_demand_cones());
+  EXPECT_EQ(big_sim.cones(), nullptr);
+  EXPECT_NE(big_sim.cone_oracle(), nullptr);
+}
+
+// ---- oracle-side campaigns vs the serial references ------------------------
+
+TEST(OracleSideCampaignTest, SeuMatchesSerialReference) {
+  const Circuit c = oracle_side_circuit();
+  const Testbench tb = random_testbench(c.num_inputs(), 24, 14);
+  const auto faults = sample_fault_list(c.num_dffs(), tb.num_cycles(), 3000,
+                                        15);
+  SerialFaultSimulator serial(c, tb);
+  const CampaignResult ref = serial.run(faults);
+
+  for_each_oracle_side_engine(
+      c, tb, [&](ParallelFaultSimulator& sim, const std::string& label) {
+        const CampaignResult got = sim.run(faults);
+        ASSERT_EQ(ref.size(), got.size()) << label;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(ref.outcomes()[i], got.outcomes()[i])
+              << label << " fault @" << i;
+        }
+      });
+}
+
+TEST(OracleSideCampaignTest, SetMatchesSerialReference) {
+  const Circuit c = oracle_side_circuit();
+  const Testbench tb = random_testbench(c.num_inputs(), 20, 16);
+  const SetSites sites(c);
+  const auto faults = sample_set_fault_list(sites, tb.num_cycles(), 2000, 17);
+  SerialSetSimulator serial(c, tb);
+  const SetCampaignResult ref = serial.run(faults);
+
+  for_each_oracle_side_engine(
+      c, tb, [&](ParallelFaultSimulator& sim, const std::string& label) {
+        const SetCampaignResult got = sim.run_set(faults);
+        ASSERT_EQ(ref.outcomes.size(), got.outcomes.size()) << label;
+        for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+          ASSERT_EQ(ref.outcomes[i], got.outcomes[i])
+              << label << " set fault @" << i;
+        }
+      });
+}
+
+TEST(OracleSideCampaignTest, MbuMatchesSerialReference) {
+  const Circuit c = oracle_side_circuit();
+  const Testbench tb = random_testbench(c.num_inputs(), 20, 18);
+  const auto faults = random_cluster_fault_list(c.num_dffs(), tb.num_cycles(),
+                                                3, 16, 2000, 19);
+  MbuFaultSimulator serial(c, tb);
+  const MbuCampaignResult ref = serial.run(faults);
+
+  for_each_oracle_side_engine(
+      c, tb, [&](ParallelFaultSimulator& sim, const std::string& label) {
+        const MbuCampaignResult got = sim.run_mbu(faults);
+        ASSERT_EQ(ref.outcomes.size(), got.outcomes.size()) << label;
+        for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+          ASSERT_EQ(ref.outcomes[i], got.outcomes[i])
+              << label << " mbu fault @" << i;
+        }
+      });
 }
 
 }  // namespace

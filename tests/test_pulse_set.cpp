@@ -2,7 +2,8 @@
 // attribute on SetFault, the deterministic per-FF setup-window draw
 // (set_pulse_latches), the per-destination-DFF latch thinning in both the
 // full-eval and cone-restricted engines (cross-validated against the
-// serial reference at every lane width, cone policy and thread count), and
+// serial reference at every lane width and thread count, on both sides of
+// the cone-source rule), and
 // the statistical contract that latching probability tracks the pulse-width
 // fraction.
 
@@ -15,19 +16,11 @@
 #include "circuits/registry.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/set_model.h"
+#include "oracle_side.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
-
-CampaignConfig pulse_cone_config(LaneWidth lanes, unsigned threads,
-                                 ConePolicy policy) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                       /*cone_restricted=*/true,
-                       CampaignSchedule::kConeAffine};
-  config.cone_policy = policy;
-  return config;
-}
 
 void expect_same_outcomes(const SetCampaignResult& a,
                           const SetCampaignResult& b, const char* label) {
@@ -42,8 +35,8 @@ void expect_same_outcomes(const SetCampaignResult& a,
 }
 
 // Serial reference vs every compiled engine configuration: {64, 256, 512}
-// lanes x {eager, on-demand} cones x {1, 4} threads (cone-affine), plus the
-// full-eval path per lane width.
+// lanes x {1, 4} threads (cone-affine), plus the full-eval path per lane
+// width.
 void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
                        std::span<const SetFault> faults, const char* label) {
   SerialSetSimulator serial(circuit, tb);
@@ -56,13 +49,13 @@ void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
         CampaignConfig{SimBackend::kCompiled, lanes, 1,
                        /*cone_restricted=*/false, CampaignSchedule::kAsGiven});
     expect_same_outcomes(ref, full.run_set(faults), label);
-    for (const ConePolicy policy :
-         {ConePolicy::kEager, ConePolicy::kOnDemand}) {
-      for (const unsigned threads : {1u, 4u}) {
-        ParallelFaultSimulator cone(
-            circuit, tb, pulse_cone_config(lanes, threads, policy));
-        expect_same_outcomes(ref, cone.run_set(faults), label);
-      }
+    for (const unsigned threads : {1u, 4u}) {
+      ParallelFaultSimulator cone(
+          circuit, tb,
+          CampaignConfig{SimBackend::kCompiled, lanes, threads,
+                         /*cone_restricted=*/true,
+                         CampaignSchedule::kConeAffine});
+      expect_same_outcomes(ref, cone.run_set(faults), label);
     }
   }
 }
@@ -265,6 +258,24 @@ TEST(PulseCampaignTest, LastCyclePulsesAgree) {
     q += 61;
   }
   pulse_cross_check(c, tb, faults, "last-cycle-pulse");
+}
+
+TEST(PulseCampaignTest, OracleSideMixedWidthCampaignAgrees) {
+  // Past the greedy FF cap the engine derives cones through the oracle and
+  // ranks sites by anchor; thinning must stay per-lane exact there too.
+  const Circuit c = oracle_side_circuit();
+  const Testbench tb = random_testbench(c.num_inputs(), 20, 41);
+  const SetSites sites(c);
+  auto faults = sample_set_fault_list(sites, tb.num_cycles(), 2000, 42);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    faults[i].pulse_q = static_cast<std::uint16_t>((i * 37) % 257);
+  }
+  SerialSetSimulator serial(c, tb);
+  const SetCampaignResult ref = serial.run(faults);
+  for_each_oracle_side_engine(
+      c, tb, [&](ParallelFaultSimulator& sim, const std::string& label) {
+        expect_same_outcomes(ref, sim.run_set(faults), label.c_str());
+      });
 }
 
 }  // namespace

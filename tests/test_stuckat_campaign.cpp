@@ -3,8 +3,8 @@
 // overlay (op-tagged AND/OR masks), test-pattern classification semantics
 // (no convergence retirement; undetected faults map latent/silent by the
 // final state) — always cross-checked against the interpreted per-fault
-// reference simulator across lane widths, cone policies, schedules and
-// thread counts.
+// reference simulator across lane widths, schedules and thread counts, on
+// both sides of the cone-source rule.
 //
 // Suites named *Slow* are split into the `slow` ctest label by CMake; the
 // rest run under `tier1`.
@@ -23,19 +23,16 @@
 #include "fault/model_traits.h"
 #include "fault/parallel_faultsim.h"
 #include "fault/stuckat_model.h"
+#include "oracle_side.h"
 #include "stim/generate.h"
 
 namespace femu {
 namespace {
 
 CampaignConfig stuckat_cone_config(LaneWidth lanes = LaneWidth::k64,
-                                   unsigned threads = 1,
-                                   ConePolicy policy = ConePolicy::kAuto) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                       /*cone_restricted=*/true,
-                       CampaignSchedule::kConeAffine};
-  config.cone_policy = policy;
-  return config;
+                                   unsigned threads = 1) {
+  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
+          CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig stuckat_full_config(LaneWidth lanes = LaneWidth::k64,
@@ -57,10 +54,9 @@ void expect_same_stuckat_outcomes(const StuckAtCampaignResult& a,
 }
 
 // Grades `faults` under the interpreted per-fault reference and every
-// compiled engine configuration — {64, 256, 512} lanes x {eager, on-demand}
-// cones x {1, 4} threads on the cone engine, both non-trivial schedules,
-// plus the full-eval path per lane width — and requires identical per-fault
-// outcomes in caller order.
+// compiled engine configuration — {64, 256, 512} lanes x {1, 4} threads on
+// the cone engine, both non-trivial schedules, plus the full-eval path per
+// lane width — and requires identical per-fault outcomes in caller order.
 void stuckat_cross_check(const Circuit& circuit, const Testbench& tb,
                          std::span<const StuckAtFault> faults,
                          const char* label) {
@@ -71,15 +67,13 @@ void stuckat_cross_check(const Circuit& circuit, const Testbench& tb,
        {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
     ParallelFaultSimulator full(circuit, tb, stuckat_full_config(lanes));
     expect_same_stuckat_outcomes(ref, full.run_stuckat(faults), label);
-    for (const ConePolicy policy : {ConePolicy::kEager, ConePolicy::kOnDemand}) {
-      for (const CampaignSchedule schedule :
-           {CampaignSchedule::kCycleMajor, CampaignSchedule::kConeAffine}) {
-        for (const unsigned threads : {1u, 4u}) {
-          CampaignConfig config = stuckat_cone_config(lanes, threads, policy);
-          config.schedule = schedule;
-          ParallelFaultSimulator cone(circuit, tb, config);
-          expect_same_stuckat_outcomes(ref, cone.run_stuckat(faults), label);
-        }
+    for (const CampaignSchedule schedule :
+         {CampaignSchedule::kCycleMajor, CampaignSchedule::kConeAffine}) {
+      for (const unsigned threads : {1u, 4u}) {
+        CampaignConfig config = stuckat_cone_config(lanes, threads);
+        config.schedule = schedule;
+        ParallelFaultSimulator cone(circuit, tb, config);
+        expect_same_stuckat_outcomes(ref, cone.run_stuckat(faults), label);
       }
     }
   }
@@ -316,6 +310,22 @@ TEST_P(StuckAtCampaignAgreement, RandomCircuitCompleteRepCampaign) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StuckAtCampaignAgreement,
                          ::testing::Range<std::uint64_t>(0, 3));
+
+TEST(StuckAtCampaignTest, OracleSideSampledCampaignAgrees) {
+  // Past the greedy FF cap the engine derives cones through the oracle and
+  // ranks sites by anchor.
+  const Circuit c = oracle_side_circuit();
+  const Testbench tb = random_testbench(c.num_inputs(), 20, 43);
+  const SetSites sites(c);
+  const auto faults = sample_stuckat_fault_list(sites, 1500, 44);
+  SerialStuckAtSimulator serial(c, tb);
+  const StuckAtCampaignResult ref = serial.run(faults);
+  for_each_oracle_side_engine(
+      c, tb, [&](ParallelFaultSimulator& sim, const std::string& label) {
+        expect_same_stuckat_outcomes(ref, sim.run_stuckat(faults),
+                                     label.c_str());
+      });
+}
 
 TEST(StuckAtCampaignTest, ShuffledOrderAlignsWithCaller) {
   const Circuit c = circuits::build_by_name("b06_like");
