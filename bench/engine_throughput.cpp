@@ -7,8 +7,8 @@
 // instruction — the memory-wall metric):
 //
 //   b14            — the paper's benchmark: the full engine ladder
-//                    (interpreted vs compiled, full vs cone, 64/256/512
-//                    lanes, single- vs multi-threaded) plus a same-sized
+//                    (full vs cone, 64/256/512 lanes, single- vs
+//                    multi-threaded) plus a same-sized
 //                    sampled SET campaign through the injection overlay and
 //                    a complete stuck-at test-pattern campaign through the
 //                    every-cycle force overlay
@@ -132,7 +132,7 @@ struct BenchResult {
   }
 
   // Kernel-optimizer accounting of the run kernel (all zero when the row
-  // runs opt-off or interpreted).
+  // runs opt-off).
   std::uint64_t opt_raw_instrs = 0;
   std::uint64_t opt_instrs = 0;
   std::uint64_t opt_absorbed = 0;
@@ -169,9 +169,10 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
                 double cone_speedup_64, double set_faults_per_sec,
                 double set_faults_per_sec_full) {
   // Baseline for speedup_vs_base: the first entry of the same circuit —
-  // the interpreted engine on b14, compiled-64-cone on the pipeline
-  // families (which never run the interpreted ladder). Per-circuit
-  // relative only; never compare the column across circuits.
+  // compiled-64-full-1t on b14 (and on a --bench-file netlist),
+  // compiled-64-cone-1t on the pipeline families (which run no full-eval
+  // row). Per-circuit relative only; never compare the column across
+  // circuits.
   const auto base_of = [&](const BenchResult& r) -> const BenchResult& {
     for (const BenchResult& b : results) {
       if (b.circuit == r.circuit) return b;
@@ -204,7 +205,6 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
     const double base = base_of(r).faults_per_sec();
     out << "    {\"name\": \"" << r.name << "\", \"circuit\": \""
         << r.circuit << "\", \"model\": \"" << fault_model_name(r.model)
-        << "\", \"backend\": \"" << sim_backend_name(r.config.backend)
         << "\", \"lanes\": " << lane_count(r.config.lanes)
         << ", \"cone_restricted\": "
         << (r.config.cone_restricted ? "true" : "false")
@@ -268,13 +268,13 @@ std::vector<std::pair<std::string, double>> read_baseline(
   return entries;
 }
 
-CampaignConfig full_config(SimBackend b, LaneWidth w, unsigned threads) {
-  return {b, w, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+CampaignConfig full_config(LaneWidth w, unsigned threads) {
+  return {w, threads, /*cone_restricted=*/false,
+          CampaignSchedule::kCycleMajor};
 }
 
 CampaignConfig cone_config(LaneWidth w, unsigned threads) {
-  return {SimBackend::kCompiled, w, threads, /*cone_restricted=*/true,
+  return {w, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
 }
 
@@ -468,24 +468,18 @@ int main(int argc, char** argv) {
     // every-cycle force overlay's cost.
     const auto stuckat_faults = complete_stuckat_fault_list(sites);
     const std::vector<BenchConfig> configs = {
-        {"interpreted-64-1t", kSeu,
-         full_config(SimBackend::kInterpreted, LaneWidth::k64, 1)},
-        {"compiled-64-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
+        {"compiled-64-full-1t", kSeu, full_config(LaneWidth::k64, 1)},
         {"compiled-64-cone-1t", kSeu, cone_config(LaneWidth::k64, 1)},
-        {"compiled-256-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k256, 1)},
+        {"compiled-256-full-1t", kSeu, full_config(LaneWidth::k256, 1)},
         {"compiled-256-cone-1t", kSeu, cone_config(LaneWidth::k256, 1)},
-        {"compiled-512-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k512, 1)},
+        {"compiled-512-full-1t", kSeu, full_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},
         {"compiled-512-cone-noopt-1t", kSeu,
          noopt_cone_config(LaneWidth::k512, 1)},
         {"compiled-64-cone-mt", kSeu, cone_config(LaneWidth::k64, hw)},
         {"compiled-256-cone-mt", kSeu, cone_config(LaneWidth::k256, hw)},
         {"compiled-512-cone-mt", kSeu, cone_config(LaneWidth::k512, hw)},
-        {"set-64-full-1t", kSet,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
+        {"set-64-full-1t", kSet, full_config(LaneWidth::k64, 1)},
         {"set-64-cone-1t", kSet, cone_config(LaneWidth::k64, 1)},
         {"set-256-cone-1t", kSet, cone_config(LaneWidth::k256, 1)},
         {"set-512-cone-1t", kSet, cone_config(LaneWidth::k512, 1)},
@@ -569,8 +563,7 @@ int main(int argc, char** argv) {
     const auto faults =
         complete_fault_list(circuit.num_dffs(), tb.num_cycles());
     const std::vector<BenchConfig> configs = {
-        {"compiled-64-full-1t", kSeu,
-         full_config(SimBackend::kCompiled, LaneWidth::k64, 1)},
+        {"compiled-64-full-1t", kSeu, full_config(LaneWidth::k64, 1)},
         {"compiled-64-cone-1t", kSeu, cone_config(LaneWidth::k64, 1)},
         {"compiled-256-cone-1t", kSeu, cone_config(LaneWidth::k256, 1)},
         {"compiled-512-cone-1t", kSeu, cone_config(LaneWidth::k512, 1)},

@@ -1,24 +1,19 @@
 // google-benchmark microbenchmarks of the engines underneath the emulation
-// system: raw simulator throughput (cycles/s, gate-evals/s) for the
-// interpreted and compiled backends side by side, fault-grading throughput
-// (faults/s) of the serial vs the bit-parallel engines at both lane widths,
-// and the cost of the netlist transforms and the LUT mapper.
+// system: raw simulator throughput (cycles/s, gate-evals/s) — the scalar
+// simulator interpreted and compiled side by side, the 64/256-lane engines
+// compiled — fault-grading throughput (faults/s) of the serial vs the
+// bit-parallel engines at both lane widths, and the cost of the netlist
+// transforms and the LUT mapper.
 //
 // These are the numbers that justify the fast-path architecture: the
 // compiled 64/256-lane engines grade b14 faults orders of magnitude faster
 // than serial simulation, which is what makes whole-campaign reproduction
-// interactive. main() additionally runs a quick interpreted-vs-compiled
-// sanity race and warns (soft, non-fatal) if the compiled kernel ever
-// regresses below the interpreted baseline.
+// interactive.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <string_view>
-
 #include "circuits/b14.h"
 #include "circuits/generators.h"
-#include "common/timer.h"
 #include "core/instrument.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
@@ -80,23 +75,10 @@ void BM_EventSim_B14(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSim_B14);
 
-// ---- lane-parallel engines: interpreted vs compiled, 64 vs 256 lanes -------
-
-void BM_ParallelSim_B14_Interpreted(benchmark::State& state) {
-  ParallelSimulator sim(b14(), SimBackend::kInterpreted);
-  std::size_t t = 0;
-  for (auto _ : state) {
-    sim.cycle(b14_tb().vector(t));
-    benchmark::DoNotOptimize(sim.node_word(0));
-    t = (t + 1) % b14_tb().num_cycles();
-  }
-  // 64 machines per iteration.
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_ParallelSim_B14_Interpreted);
+// ---- lane-parallel engines: 64 vs 256 lanes --------------------------------
 
 void BM_ParallelSim_B14_Compiled(benchmark::State& state) {
-  ParallelSimulator sim(b14(), SimBackend::kCompiled);
+  ParallelSimulator sim(b14());
   std::size_t t = 0;
   for (auto _ : state) {
     sim.cycle(b14_tb().vector(t));
@@ -133,21 +115,9 @@ void BM_SerialFaultSim_B14(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialFaultSim_B14)->Unit(benchmark::kMillisecond);
 
-void BM_ParallelFaultSim_B14_Interpreted(benchmark::State& state) {
-  ParallelFaultSimulator sim(
-      b14(), b14_tb(), {SimBackend::kInterpreted, LaneWidth::k64, 1});
-  const auto faults =
-      complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(faults));
-  }
-  state.SetItemsProcessed(state.iterations() * faults.size());
-}
-BENCHMARK(BM_ParallelFaultSim_B14_Interpreted)->Unit(benchmark::kMillisecond);
-
 void BM_ParallelFaultSim_B14_Compiled(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {SimBackend::kCompiled, LaneWidth::k64, 1});
+      b14(), b14_tb(), {LaneWidth::k64, 1});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -160,7 +130,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_Compiled)->Unit(benchmark::kMillisecond);
 // Same campaign on the raw (un-optimized) kernel — the A/B twin that shows
 // what the kernel IR optimizer (sim/kernel_opt.h) buys per fault.
 CampaignConfig noopt_config(LaneWidth w) {
-  CampaignConfig config{SimBackend::kCompiled, w, 1};
+  CampaignConfig config{w, 1};
   config.optimize = false;
   return config;
 }
@@ -178,7 +148,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_CompiledNoOpt)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSim_B14_Compiled256(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {SimBackend::kCompiled, LaneWidth::k256, 1});
+      b14(), b14_tb(), {LaneWidth::k256, 1});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -202,8 +172,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_Compiled256NoOpt)
 
 void BM_ParallelFaultSim_B14_CompiledSharded(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(),
-      {SimBackend::kCompiled, LaneWidth::k256, /*num_threads=*/0});
+      b14(), b14_tb(), {LaneWidth::k256, /*num_threads=*/0});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -268,58 +237,6 @@ void BM_RandomCircuitSim(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomCircuitSim)->Arg(16)->Arg(64)->Arg(256);
 
-// Quick interpreted-vs-compiled race on the b14 campaign (single-threaded so
-// the comparison isolates the eval kernel). Prints the speedup and soft-warns
-// if the compiled kernel is ever slower — a regression canary, not an assert,
-// because shared CI boxes can be noisy.
-double time_campaign(SimBackend backend) {
-  ParallelFaultSimulator sim(b14(), b14_tb(), {backend, LaneWidth::k64, 1});
-  const auto faults =
-      complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
-  double best = -1.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    (void)sim.run(faults);
-    if (best < 0.0 || sim.last_run_seconds() < best) {
-      best = sim.last_run_seconds();
-    }
-  }
-  return best;
-}
-
-void report_speedup() {
-  const double interpreted = time_campaign(SimBackend::kInterpreted);
-  const double compiled = time_campaign(SimBackend::kCompiled);
-  const double speedup = compiled > 0.0 ? interpreted / compiled : 0.0;
-  std::fprintf(stderr,
-               "b14 campaign (64 lanes, 1 thread): interpreted %.4fs, "
-               "compiled %.4fs — %.2fx speedup\n",
-               interpreted, compiled, speedup);
-  if (speedup < 1.0) {
-    std::fprintf(stderr,
-                 "WARNING: compiled kernel is slower than the interpreted "
-                 "baseline (%.2fx) — investigate before trusting perf "
-                 "numbers\n",
-                 speedup);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Skip the (multi-second) speedup race for list/help invocations so
-  // benchmark-discovery tooling stays fast.
-  bool run_race = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg.rfind("--benchmark_list_tests", 0) == 0 ||
-        arg.rfind("--benchmark_filter", 0) == 0) {
-      run_race = false;  // targeted/list runs shouldn't pay for the race
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (run_race) report_speedup();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,9 +1,10 @@
 // Tour of the fault-grading engine stack — the "which engine should I use?"
-// example. Grades the same campaign with every backend / lane-width /
-// threading configuration, shows that the classification is bit-identical
-// everywhere, and prints the throughput ladder from the interpreted baseline
-// up to the threaded 512-lane compiled engine (AVX-512 when the host has
-// it, portable limbs otherwise — see sim/simd_dispatch.h).
+// example. Grades the same campaign with every evaluation-mode / lane-width
+// / threading configuration, shows that the classification is bit-identical
+// everywhere, and prints the throughput ladder from 64-lane full-program
+// evaluation up to the threaded 512-lane cone-restricted engine (AVX-512
+// when the host has it, portable limbs otherwise — see
+// sim/simd_dispatch.h).
 //
 //   engine_stack [circuit] [cycles]
 //     circuit  registry name           [default: b14]
@@ -41,24 +42,16 @@ int main(int argc, char** argv) try {
     CampaignConfig config;
   };
   const Row rows[] = {
-      {"interpreted, 64 lanes, 1 thread",
-       {SimBackend::kInterpreted, LaneWidth::k64, 1, false,
-        CampaignSchedule::kAsGiven}},
-      {"compiled full-eval, 64 lanes, 1 thread",
-       {SimBackend::kCompiled, LaneWidth::k64, 1, false,
-        CampaignSchedule::kAsGiven}},
-      {"compiled cone-restricted, 64 lanes, 1 thread",
-       {SimBackend::kCompiled, LaneWidth::k64, 1, true,
-        CampaignSchedule::kConeAffine}},
-      {"compiled cone-restricted, 256 lanes, 1 thread",
-       {SimBackend::kCompiled, LaneWidth::k256, 1, true,
-        CampaignSchedule::kConeAffine}},
-      {"compiled cone-restricted, 512 lanes, 1 thread",
-       {SimBackend::kCompiled, LaneWidth::k512, 1, true,
-        CampaignSchedule::kConeAffine}},
-      {"compiled cone-restricted, 512 lanes, all threads",
-       {SimBackend::kCompiled, LaneWidth::k512, hw, true,
-        CampaignSchedule::kConeAffine}},
+      {"full-eval, 64 lanes, 1 thread",
+       {LaneWidth::k64, 1, false, CampaignSchedule::kCycleMajor}},
+      {"cone-restricted, 64 lanes, 1 thread",
+       {LaneWidth::k64, 1, true, CampaignSchedule::kConeAffine}},
+      {"cone-restricted, 256 lanes, 1 thread",
+       {LaneWidth::k256, 1, true, CampaignSchedule::kConeAffine}},
+      {"cone-restricted, 512 lanes, 1 thread",
+       {LaneWidth::k512, 1, true, CampaignSchedule::kConeAffine}},
+      {"cone-restricted, 512 lanes, all threads",
+       {LaneWidth::k512, hw, true, CampaignSchedule::kConeAffine}},
   };
 
   TextTable table({"engine", "time (ms)", "faults/s", "speedup", "failure",

@@ -1,8 +1,11 @@
 // Command-line fault-grading driver — the "downstream user" entry point.
 // The usage text is kUsage below (printed by --help).
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -170,6 +173,20 @@ FaultModel parse_model(const std::string& spec) {
   if (spec == "stuckat") return FaultModel::kStuckAt;
   throw Error(str_cat("unknown fault model '", spec,
                       "' (seu | mbu | set | stuckat)"));
+}
+
+/// Parses a positional count: the whole string must be an unsigned decimal
+/// integer no larger than `max` — no sign, no trailing characters.
+std::uint64_t parse_unsigned(const std::string& spec, const char* what,
+                             std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* const end = spec.data() + spec.size();
+  const auto [ptr, ec] = std::from_chars(spec.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > max) {
+    throw Error(str_cat("invalid ", what, " '", spec,
+                        "' (an unsigned decimal integer <= ", max, ")"));
+  }
+  return value;
 }
 
 LaneWidth parse_lanes(const std::string& spec) {
@@ -689,14 +706,23 @@ int main(int argc, char** argv) {
     }
     const std::string circuit_spec =
         !positional.empty() ? positional[0] : "b14";
+    // Outcome cycles are uint32_t with kNoCycle as the "never" sentinel.
     const std::size_t cycles =
-        positional.size() > 1 ? std::stoul(positional[1]) : 160;
+        positional.size() > 1
+            ? parse_unsigned(positional[1], "cycles", kNoCycle - 1)
+            : 160;
     const std::string technique_spec =
         positional.size() > 2 ? positional[2] : "all";
     const std::size_t sample =
-        positional.size() > 3 ? std::stoul(positional[3]) : 0;
+        positional.size() > 3
+            ? parse_unsigned(positional[3], "sample",
+                             std::numeric_limits<std::size_t>::max())
+            : 0;
     const std::uint64_t seed =
-        positional.size() > 4 ? std::stoull(positional[4]) : 2005;
+        positional.size() > 4
+            ? parse_unsigned(positional[4], "seed",
+                             std::numeric_limits<std::uint64_t>::max())
+            : 2005;
     const FaultModel model = parse_model(model_spec);
     const LaneWidth lanes = parse_lanes(lanes_spec);
 

@@ -28,7 +28,7 @@ struct EmulatorOptions {
   bool enforce_fit = false;         ///< throw CapacityError when the system
                                     ///< exceeds the board
   CampaignConfig campaign{};        ///< grading-engine config (lane width,
-                                    ///< cone policy, threads, ...)
+                                    ///< evaluation mode, threads, ...)
 };
 
 /// Synthesis-side results of one technique on one circuit (Table 1 row).

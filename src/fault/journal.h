@@ -48,11 +48,11 @@ class Fnv64 {
 /// Content fingerprint of everything that determines a campaign's
 /// classifications, kept component-wise so a mismatch can name the culprit.
 ///
-/// Deliberately EXCLUDED: every CampaignConfig knob (backend, lane width,
-/// thread count, schedule, cone policy, width policy, arena layout, kernel
-/// optimizer) — the engine's classifications are proven bit-identical
-/// across all of them (the cross-validation suites of PRs 1–6 and the
-/// optimizer preserve-contract suite), which is precisely what makes a
+/// Deliberately EXCLUDED: every CampaignConfig knob (lane width, thread
+/// count, evaluation mode, schedule, kernel optimizer) and the cone source —
+/// the engine's classifications are proven bit-identical across all of them
+/// (the serial-reference cross-validation suites and the optimizer
+/// preserve-contract suite), which is precisely what makes a
 /// journal resumable on a different machine/thread count. `config` is
 /// reserved for a future knob that does affect outcomes; today it hashes
 /// only the rule's version tag.

@@ -51,8 +51,8 @@ struct ConeBackend {
 ///   kDescriptor         — stable descriptor name ("model:mechanism"), the
 ///                         string the CLI/bench JSON reports
 ///   kUsesOverlay        — the fault enters through the kernel's
-///                         instruction-stream overlay (compiled backend
-///                         only) instead of state-bit flips before eval
+///                         instruction-stream overlay instead of state-bit
+///                         flips before eval
 ///   kOverlayOp          — which overlay op the model emits (see
 ///                         CompiledKernel::OverlayEntry's op table)
 ///   kOverlayEveryCycle  — the overlay applies on every cycle (permanent

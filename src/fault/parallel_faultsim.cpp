@@ -17,7 +17,6 @@
 #include "fault/artifact_cache.h"
 #include "fault/journal.h"
 #include "sim/kernel_opt.h"
-#include "sim/parallel_sim.h"
 
 namespace femu {
 
@@ -111,12 +110,6 @@ template <typename KeyOf>
   return perm;
 }
 
-[[nodiscard]] std::vector<std::uint32_t> identity_perm(std::size_t n) {
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  return perm;
-}
-
 /// Calls `fn.template operator()<Word>()` with the lane word type of `lanes`.
 template <typename Fn>
 void with_lane_word(LaneWidth lanes, const Fn& fn) {
@@ -136,18 +129,13 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   FEMU_CHECK(testbench.input_width() == circuit.num_inputs(),
              "testbench width ", testbench.input_width(), " != circuit PI ",
              circuit.num_inputs());
-  FEMU_CHECK(
-      config_.backend == SimBackend::kCompiled ||
-          config_.lanes == LaneWidth::k64,
-      "interpreted backend supports 64 lanes only");
   // The cone matrix is materialized exactly when the greedy FF order, its
   // one consumer, runs; past either size bound the oracle serves unions.
   on_demand_cones_ =
       circuit.num_dffs() > CampaignConfig::greedy_order_cap ||
       circuit.node_count() >= CampaignConfig::kOnDemandNodeThreshold;
   words_per_cone_ = (circuit.node_count() + 63) / 64;
-  const bool cones_for_eval =
-      config_.cone_restricted && config_.backend == SimBackend::kCompiled;
+  const bool cones_for_eval = config_.cone_restricted;
   const bool need_cones =
       cones_for_eval || config_.schedule == CampaignSchedule::kConeAffine;
   // Construction parallelism follows the campaign worker count (0 = all
@@ -158,12 +146,8 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   // ---- artifact cache probe ----
   // One lookup per construction: a hit supplies every artifact the resolved
   // shape needs; any miss flavor (absent, corrupt, version skew, foreign
-  // fingerprint) degrades to a full rebuild + store. Interpreted backends
-  // have no cacheable artifacts worth the key (golden alone re-derives in
-  // the same walk the interpreter needs anyway), so the cache is
-  // compiled-backend only.
-  const bool cache_on =
-      !config_.cache_dir.empty() && config_.backend == SimBackend::kCompiled;
+  // fingerprint) degrades to a full rebuild + store.
+  const bool cache_on = !config_.cache_dir.empty();
   const bool cache_opt_kernel = cache_on && config_.optimize;
   ArtifactCacheKey cache_key;
   ArtifactBundle cached;
@@ -201,7 +185,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   // The raw kernel is always compiled fresh: it binds the live circuit,
   // site-keyed optimizations re-run from it per preserve set, and compiling
   // is orders of magnitude cheaper than the phases the cache skips.
-  if (config_.backend == SimBackend::kCompiled) {
+  {
     obs::PhaseSpan span(config_.telemetry, "compile");
     WallTimer timer;
     kernel_ = compile_kernel(circuit);
@@ -218,23 +202,17 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   if (!have_golden || (cones_for_eval && !have_slots)) {
     obs::PhaseSpan span(config_.telemetry, "golden_trace");
     WallTimer timer;
-    if (kernel_ != nullptr) {
-      // One scalar walk captures every golden view — the output/state trace
-      // and (when cone restriction needs them) the full slot snapshots —
-      // instead of the former two full passes over the vector set.
-      GoldenCapture cap =
-          capture_golden_unified(*kernel_, testbench.vectors(), build_threads,
-                                 cones_for_eval && !have_slots);
-      if (!have_golden) golden_ = std::move(cap.trace);
-      if (cones_for_eval && !have_slots) slot_trace_ = std::move(cap.slots);
-    } else {
-      golden_ = capture_golden(circuit, testbench.vectors());
-    }
+    // One scalar walk captures every golden view — the output/state trace
+    // and (when cone restriction needs them) the full slot snapshots —
+    // instead of two full passes over the vector set.
+    GoldenCapture cap =
+        capture_golden_unified(*kernel_, testbench.vectors(), build_threads,
+                               cones_for_eval && !have_slots);
+    if (!have_golden) golden_ = std::move(cap.trace);
+    if (cones_for_eval && !have_slots) slot_trace_ = std::move(cap.slots);
     telem_.golden_seconds += timer.elapsed_seconds();
   }
 
-  // The cone-affine schedule only needs the cones, not the kernel, so it
-  // works (as a grouping heuristic) even on the interpreted backend.
   if (need_cones) {
     const bool have_rank = cache_hit && cached.has_ff_rank;
     if (cache_hit) {
@@ -284,7 +262,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   // preparation); select_run_kernel's opt_seconds stays a cache-miss meter.
   if (cached.opt_kernel != nullptr) {
     opt_kernel_ff_ = std::move(cached.opt_kernel);
-  } else if (cache_opt_kernel && kernel_ != nullptr) {
+  } else if (cache_opt_kernel) {
     obs::PhaseSpan span(config_.telemetry, "optimize");
     WallTimer timer;
     opt_kernel_ff_ = optimize_kernel(kernel_, {});
@@ -336,7 +314,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
 }
 
 void ParallelFaultSimulator::ensure_site_structures() {
-  const bool need_cones = (config_.cone_restricted && kernel_ != nullptr) ||
+  const bool need_cones = config_.cone_restricted ||
                           config_.schedule == CampaignSchedule::kConeAffine;
   if (!need_cones) {
     return;
@@ -371,8 +349,8 @@ void ParallelFaultSimulator::ensure_site_structures() {
 }
 
 void ParallelFaultSimulator::select_run_kernel(std::vector<NodeId> preserve) {
-  if (kernel_ == nullptr || !config_.optimize) {
-    run_kernel_ = kernel_;  // raw stream (or interpreted: no kernel at all)
+  if (!config_.optimize) {
+    run_kernel_ = kernel_;  // raw stream
     telem_.opt_seconds = 0.0;
     telem_.opt_raw_instrs = telem_.opt_instrs = 0;
     telem_.opt_absorbed = telem_.opt_folded = telem_.opt_dead = 0;
@@ -433,9 +411,6 @@ void ParallelFaultSimulator::select_run_kernel(std::vector<NodeId> preserve) {
 template <typename Traits>
 std::vector<std::uint32_t> ParallelFaultSimulator::schedule_permutation(
     std::span<const typename Traits::FaultT> faults) const {
-  if (config_.schedule == CampaignSchedule::kAsGiven) {
-    return identity_perm(faults.size());
-  }
   const std::span<const std::uint32_t> ranks =
       Traits::kSiteKeyed ? std::span<const std::uint32_t>(site_affinity_rank_)
                          : std::span<const std::uint32_t>(ff_affinity_rank_);
@@ -554,11 +529,6 @@ void ParallelFaultSimulator::run_model(
   using FaultT = typename Traits::FaultT;
   using View = ModelView<Traits>;
 
-  if constexpr (Traits::kUsesOverlay) {
-    FEMU_CHECK(kernel_ != nullptr, fault_model_name(Traits::kModel),
-               " campaigns require the compiled backend "
-               "(the injection overlay is an instruction-stream mechanism)");
-  }
   const std::size_t num_cycles = testbench_.num_cycles();
   for (const FaultT& fault : faults) {
     Traits::validate(circuit_, num_cycles, fault);
@@ -587,7 +557,9 @@ void ParallelFaultSimulator::run_model(
       schedule_permutation<Traits>(faults);
 
   // Run over a permuted view, scatter outcomes back through the inverse
-  // permutation so results align with caller order.
+  // permutation so results align with caller order. A list already in
+  // schedule order (say, a cycle-major sort of a complete campaign) gets the
+  // identity and skips the copy.
   bool permuted = false;
   for (std::size_t i = 0; i < perm.size(); ++i) {
     if (perm[i] != i) {
@@ -685,63 +657,31 @@ void ParallelFaultSimulator::run_model(
     }
   };
 
-  if (kernel_) {
-    // Compiled backend: one LaneEngine<Word> per worker at the configured
-    // width, chosen once per run.
-    const bool cone = config_.cone_restricted;
-    const auto run_compiled = [&]<typename Word>() {
-      const auto& image = std::get<GoldenWordImage<Word>>(image_);
-      const auto make_engine = [this] { return LaneEngine<Word>(run_kernel_); };
-      const auto run_group = [&](LaneEngine<Word>& engine,
-                                 const GroupSpec& spec,
-                                 std::span<const FaultT> group_faults,
-                                 std::span<FaultOutcome> group_outcomes,
-                                 WorkerScratch& scratch) {
-        const std::span<std::uint64_t> group_sigs = sig_span(spec);
-        traced(spec, scratch, [&] {
-          const View view = make_view(group_faults);
-          if (cone) {
-            run_group_cone(engine, image, view, group_outcomes, group_sigs,
-                           scratch);
-          } else {
-            run_group_full(engine, image, view, group_outcomes, group_sigs,
-                           scratch);
-          }
-        });
-        notify_retire(spec, group_outcomes, group_sigs);
-      };
-      run_sharded<FaultT>(make_engine, run_group, plan, run_faults,
-                          run_outcomes, workers);
-    };
-    with_lane_word(config_.lanes, run_compiled);
-  } else {
-    // Interpreted backend: full-eval only, 64 lanes only, and no
-    // instruction stream to overlay — the overlay-model check above rejects
-    // that configuration up front.
-    if constexpr (!View::kHasOverlay) {
-      const auto make_engine = [this] {
-        return ParallelSimulator(circuit_, SimBackend::kInterpreted);
-      };
-      const auto run_group = [&](ParallelSimulator& engine,
-                                 const GroupSpec& spec,
-                                 std::span<const FaultT> group_faults,
-                                 std::span<FaultOutcome> group_outcomes,
-                                 WorkerScratch& scratch) {
-        const std::span<std::uint64_t> group_sigs = sig_span(spec);
-        traced(spec, scratch, [&] {
-          run_group_full(engine,
-                         std::get<GoldenWordImage<std::uint64_t>>(image_),
-                         make_view(group_faults), group_outcomes, group_sigs,
+  // One LaneEngine<Word> per worker at the configured width, chosen once
+  // per run.
+  const bool cone = config_.cone_restricted;
+  with_lane_word(config_.lanes, [&]<typename Word>() {
+    const auto& image = std::get<GoldenWordImage<Word>>(image_);
+    const auto run_group = [&](LaneEngine<Word>& engine, const GroupSpec& spec,
+                               std::span<const FaultT> group_faults,
+                               std::span<FaultOutcome> group_outcomes,
+                               WorkerScratch& scratch) {
+      const std::span<std::uint64_t> group_sigs = sig_span(spec);
+      traced(spec, scratch, [&] {
+        const View view = make_view(group_faults);
+        if (cone) {
+          run_group_cone(engine, image, view, group_outcomes, group_sigs,
                          scratch);
-        });
-        notify_retire(spec, group_outcomes, group_sigs);
-      };
-      run_sharded<FaultT>(make_engine, run_group, plan, run_faults,
-                          run_outcomes, workers);
-    } else {
-      FEMU_CHECK(false, "overlay models require the compiled backend");
-    }
-  }
+        } else {
+          run_group_full(engine, image, view, group_outcomes, group_sigs,
+                         scratch);
+        }
+      });
+      notify_retire(spec, group_outcomes, group_sigs);
+    };
+    run_sharded<Word, FaultT>(run_group, plan, run_faults, run_outcomes,
+                              workers);
+  });
 
   if (collector != nullptr) {
     collector->record_campaign_span("grade", grade_begin_ns, now_ns());
@@ -763,9 +703,8 @@ void ParallelFaultSimulator::run_model(
   }
 }
 
-template <typename FaultT, typename MakeEngine, typename RunGroup>
-void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
-                                         const RunGroup& run_group,
+template <typename Word, typename FaultT, typename RunGroup>
+void ParallelFaultSimulator::run_sharded(const RunGroup& run_group,
                                          std::span<const GroupSpec> plan,
                                          std::span<const FaultT> faults,
                                          std::span<FaultOutcome> outcomes,
@@ -779,7 +718,7 @@ void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
   };
 
   if (num_workers <= 1 || num_groups <= 1) {
-    auto engine = make_engine();
+    LaneEngine<Word> engine(run_kernel_);
     WorkerScratch scratch;
     if (config_.telemetry != nullptr) {
       scratch.telemetry = &config_.telemetry->worker(0);
@@ -819,7 +758,7 @@ void ParallelFaultSimulator::run_sharded(const MakeEngine& make_engine,
   const auto worker = [&](unsigned worker_id) {
     WorkerScratch scratch;
     try {
-      auto engine = make_engine();
+      LaneEngine<Word> engine(run_kernel_);
       if (config_.telemetry != nullptr) {
         scratch.telemetry = &config_.telemetry->worker(worker_id);
       }
@@ -878,8 +817,8 @@ void ParallelFaultSimulator::sort_group_order(const View& view,
             });
 }
 
-template <typename Engine, typename Word, typename View>
-void ParallelFaultSimulator::run_group_full(Engine& engine,
+template <typename Word, typename View>
+void ParallelFaultSimulator::run_group_full(LaneEngine<Word>& engine,
                                             const GoldenWordImage<Word>& image,
                                             const View& view,
                                             std::span<FaultOutcome> outcomes,
@@ -887,8 +826,7 @@ void ParallelFaultSimulator::run_group_full(Engine& engine,
                                             WorkerScratch& scratch) const {
   using T = LaneTraits<Word>;
   const std::size_t num_cycles = testbench_.num_cycles();
-  const std::size_t program_size =
-      run_kernel_ ? run_kernel_->program().size() : circuit_.num_gates();
+  const std::size_t program_size = run_kernel_->program().size();
   const std::size_t slot_bytes = circuit_.node_count() * sizeof(Word);
   const std::size_t group_size = view.size();
   const Word group_mask = T::first_n(group_size);

@@ -41,22 +41,18 @@ enum class LaneWidth : std::uint32_t {
 /// internally and scatters results back through the inverse permutation —
 /// so the schedule is purely a performance knob.
 enum class CampaignSchedule : std::uint8_t {
-  /// Groups are consecutive spans of the caller's list (the PR 1 behaviour).
-  kAsGiven,
   /// Sort by (cycle, ff): groups span minimal injection-cycle ranges, so
   /// groups start late and fast-forward far.
   kCycleMajor,
   /// Cycle-major, but within a cycle FFs follow the cone-affinity order
   /// (see cone_affine_ff_order): each group's fanout-cone union — the work
-  /// the cone-restricted engine evaluates per cycle — stays small. Degrades
-  /// to kCycleMajor when cones are unavailable (interpreted backend).
+  /// the cone-restricted engine evaluates per cycle — stays small.
   kConeAffine,
 };
 
 [[nodiscard]] constexpr const char* campaign_schedule_name(
     CampaignSchedule s) noexcept {
   switch (s) {
-    case CampaignSchedule::kAsGiven: return "as-given";
     case CampaignSchedule::kCycleMajor: return "cycle-major";
     case CampaignSchedule::kConeAffine: return "cone-affine";
   }
@@ -65,38 +61,35 @@ enum class CampaignSchedule : std::uint8_t {
 
 /// Campaign engine configuration.
 ///
-/// The default — compiled kernel, 64 lanes, cone-restricted differential
-/// evaluation, cone-affine scheduling, one worker per hardware thread — is
-/// the fastest portable setting. `cone_restricted = false` selects the PR 1
-/// full-program evaluation path (the measured baseline); the interpreted
-/// backend (64-lane, full-eval only) is the original engine, kept selectable
-/// so benches and cross-validation tests can measure and check the compiled
-/// paths against it.
+/// Every campaign runs on the compiled kernel (sim/compiled_kernel.h). The
+/// per-model references the tests grade against (SerialFaultSimulator,
+/// MbuFaultSimulator, SerialSetSimulator, SerialStuckAtSimulator) are test
+/// oracles, not selectable engines. The default — 64 lanes, cone-restricted
+/// differential evaluation, cone-affine scheduling, one worker per hardware
+/// thread — is the fastest portable setting; `cone_restricted = false`
+/// selects full-program evaluation.
 ///
 /// A campaign runs at exactly one lane width: every group is a consecutive
 /// `lanes`-wide span of the scheduled fault list (only the last may be
 /// partial), and every worker holds one engine of that width.
 struct CampaignConfig {
-  SimBackend backend = SimBackend::kCompiled;
-  /// Faulty machines per lane group (interpreted backend: 64 only).
+  /// Faulty machines per lane group.
   LaneWidth lanes = LaneWidth::k64;
   /// Worker threads for group sharding; 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
   /// Evaluate only the per-group union of injected-FF fanout cones against
-  /// the golden baseline (compiled backend only; ignored when interpreted).
+  /// the golden baseline; false evaluates the whole program every cycle.
   bool cone_restricted = true;
   CampaignSchedule schedule = CampaignSchedule::kConeAffine;
   /// Run campaigns on an optimizer-processed kernel (sim/kernel_opt.h):
   /// inverter/buffer absorption into per-operand complement flags, constant
   /// folding and dead-logic elimination, under the model's injection-site
   /// preserve set (FaultModelTraits::collect_preserve) so overlay sites
-  /// stay materialized. Compiled backend only (the interpreted backend is
-  /// the unoptimized cross-validation oracle); classifications are
-  /// bit-identical on vs off for every model, lane width, schedule, cone
-  /// source and thread count — off is the A/B baseline benches measure the
-  /// instruction reduction against. Cones, golden traces and images are
-  /// always derived from the raw circuit/kernel; only the executed
-  /// instruction stream changes.
+  /// stay materialized. Classifications are bit-identical on vs off for
+  /// every model, lane width, schedule, cone source and thread count — off
+  /// is the A/B baseline benches measure the instruction reduction against.
+  /// Cones, golden traces and images are always derived from the raw
+  /// circuit/kernel; only the executed instruction stream changes.
   bool optimize = true;
   /// Telemetry sink (not owned; must outlive the engine). Null — the
   /// default — is the near-zero-cost fast path: the engine takes no
@@ -109,14 +102,14 @@ struct CampaignConfig {
 
   /// Persistent content-addressed artifact cache directory
   /// (fault/artifact_cache.h). Empty — the default — disables caching.
-  /// Compiled backend only. When set, construction first tries to adopt the
-  /// cached setup artifacts (golden traces, cone structures, cone-affine
-  /// order, optimized FF-model kernel) keyed by circuit/testbench/config-
-  /// rule content hashes plus optimizer and shape hashes; any invalid entry
-  /// degrades totally-and-warned to a rebuild, and every miss stores the
-  /// rebuilt artifacts via tmp + atomic rename. Outcome-neutral by the same
-  /// contract as every other knob: classifications and work metrics are
-  /// bit-identical cold vs warm.
+  /// When set, construction first tries to adopt the cached setup artifacts
+  /// (golden traces, cone structures, cone-affine order, optimized FF-model
+  /// kernel) keyed by circuit/testbench/config-rule content hashes plus
+  /// optimizer and shape hashes; any invalid entry degrades
+  /// totally-and-warned to a rebuild, and every miss stores the rebuilt
+  /// artifacts via tmp + atomic rename. Outcome-neutral by the same contract
+  /// as every other knob: classifications and work metrics are bit-identical
+  /// cold vs warm.
   std::string cache_dir;
 
   /// The cone source is not a knob: the engine materializes the cone
@@ -137,13 +130,12 @@ struct CampaignConfig {
 ///   run_mbu()     — MBU (multi-bit upsets: several FFs flipped together)
 ///   run_set()     — SET (transient inversions at combinational gate
 ///                   outputs, optionally pulse-width-limited with per-FF
-///                   latching-window thinning; compiled backend only —
-///                   injection rides the kernel's instruction-stream
-///                   overlay)
+///                   latching-window thinning; injection rides the
+///                   kernel's instruction-stream overlay)
 ///   run_stuckat() — stuck-at-0/1 at combinational gate outputs
-///                   (test-pattern grading; compiled backend only — the
-///                   permanent force rides the same overlay, op-tagged
-///                   AND/OR instead of XOR, applied every cycle)
+///                   (test-pattern grading; the permanent force rides
+///                   the same overlay, op-tagged AND/OR instead of XOR,
+///                   applied every cycle)
 ///
 /// One CampaignConfig drives every model with identical sharding,
 /// scheduling and classification semantics. Everything model-specific —
@@ -183,10 +175,11 @@ struct CampaignConfig {
 /// shards them across a pool of workers pulling group indices from an atomic
 /// counter. Every group writes its own outcome slice and the scheduler's
 /// permutation is inverted before returning, so results align with the
-/// caller's fault order and are bit-identical for any thread count, backend,
-/// lane width and schedule. An exception thrown while grading a group (or by
-/// the retire callback) on any worker stops further group claims; every
-/// worker joins and the first exception is rethrown to the caller.
+/// caller's fault order and are bit-identical for any thread count, lane
+/// width, evaluation mode and schedule. An exception thrown while grading a
+/// group (or by the retire callback) on any worker stops further group
+/// claims; every worker joins and the first exception is rethrown to the
+/// caller.
 class ParallelFaultSimulator {
  public:
   ParallelFaultSimulator(const Circuit& circuit, const Testbench& testbench,
@@ -198,8 +191,8 @@ class ParallelFaultSimulator {
 
   /// Grades an MBU campaign through the same sharded, scheduled,
   /// cone-restricted engine stack (an MBU lane flips several state bits and
-  /// its divergence cone is the union of the flipped FFs' cones). Any
-  /// backend and lane width.
+  /// its divergence cone is the union of the flipped FFs' cones). Any lane
+  /// width.
   [[nodiscard]] MbuCampaignResult run_mbu(std::span<const MbuFault> faults);
 
   /// Grades a SET campaign: each lane's gate output is XOR-inverted inline
@@ -207,8 +200,7 @@ class ParallelFaultSimulator {
   /// overlay, then the latched divergence is tracked exactly like an SEU's.
   /// Sub-full-width pulses (SetFault::pulse_q) additionally thin the latch
   /// per destination flip-flop by the deterministic setup-window draw.
-  /// Compiled backend only (the overlay is an instruction-stream mechanism);
-  /// all lane widths, all schedules, cone-restricted or full.
+  /// All lane widths, both schedules, cone-restricted or full.
   [[nodiscard]] SetCampaignResult run_set(std::span<const SetFault> faults);
 
   /// Grades a stuck-at campaign with test-pattern semantics: each lane's
@@ -217,7 +209,7 @@ class ParallelFaultSimulator {
   /// means the testbench detected the fault at a primary output, and
   /// undetected lanes run to the end of the testbench (no convergence
   /// retirement — a permanent fault can be re-excited) before mapping to
-  /// latent/silent by the final-state comparison. Compiled backend only.
+  /// latent/silent by the final-state comparison.
   [[nodiscard]] StuckAtCampaignResult run_stuckat(
       std::span<const StuckAtFault> faults);
 
@@ -279,8 +271,7 @@ class ParallelFaultSimulator {
 
   /// Per-FF fanout cones. Built when the circuit is small enough for the
   /// greedy order (see CampaignConfig::greedy_order_cap) and the
-  /// cone-restricted engine is active (compiled backend) or the cone-affine
-  /// schedule needs them as a grouping heuristic (any backend); null
+  /// cone-restricted engine or the cone-affine schedule needs them; null
   /// otherwise — in particular always null when on_demand_cones() holds,
   /// where cone_oracle() serves instead.
   [[nodiscard]] const FanoutCones* cones() const noexcept {
@@ -424,9 +415,10 @@ class ParallelFaultSimulator {
     std::uint32_t count = 0;
   };
 
-  template <typename Engine, typename Word, typename View>
-  void run_group_full(Engine& engine, const GoldenWordImage<Word>& image,
-                      const View& view, std::span<FaultOutcome> outcomes,
+  template <typename Word, typename View>
+  void run_group_full(LaneEngine<Word>& engine,
+                      const GoldenWordImage<Word>& image, const View& view,
+                      std::span<FaultOutcome> outcomes,
                       std::span<std::uint64_t> sigs,
                       WorkerScratch& scratch) const;
 
@@ -438,11 +430,11 @@ class ParallelFaultSimulator {
                       WorkerScratch& scratch) const;
 
   /// Runs every group of `plan` on `num_workers` workers (the caller is
-  /// worker 0). The first exception any worker throws is rethrown here
-  /// after all workers have joined.
-  template <typename FaultT, typename MakeEngine, typename RunGroup>
-  void run_sharded(const MakeEngine& make_engine, const RunGroup& run_group,
-                   std::span<const GroupSpec> plan,
+  /// worker 0), each owning one LaneEngine<Word> over run_kernel_. The
+  /// first exception any worker throws is rethrown here after all workers
+  /// have joined.
+  template <typename Word, typename FaultT, typename RunGroup>
+  void run_sharded(const RunGroup& run_group, std::span<const GroupSpec> plan,
                    std::span<const FaultT> faults,
                    std::span<FaultOutcome> outcomes, unsigned num_workers);
 
@@ -452,7 +444,7 @@ class ParallelFaultSimulator {
 
   /// The generic campaign driver every public entry point wraps: validates
   /// the faults through the model descriptor, applies the schedule
-  /// permutation, dispatches on backend x lane width, shards the groups
+  /// permutation, dispatches on lane width, shards the groups
   /// (running them through ModelView<Traits>) and scatters the outcomes
   /// back to caller order.
   template <typename Traits>
@@ -464,7 +456,7 @@ class ParallelFaultSimulator {
   void sort_group_order(const View& view, WorkerScratch& scratch) const;
 
   /// Schedule permutation: perm[i] is the caller index of the i-th fault in
-  /// engine order (identity for kAsGiven). One generic keyed sort; the
+  /// engine order. One generic keyed sort; the
   /// per-fault (cycle, affinity-rank) key comes from the model descriptor
   /// (schedule_site in FF or gate-site space, kSiteKeyed).
   template <typename Traits>
@@ -478,7 +470,7 @@ class ParallelFaultSimulator {
   void ensure_site_structures();
 
   /// Resolves the kernel the next run executes: the raw kernel when the
-  /// optimizer is off (or the backend interpreted), otherwise a cached
+  /// optimizer is off, otherwise a cached
   /// optimized clone for `preserve` (the campaign's injection-site set,
   /// from FaultModelTraits::collect_preserve). An empty set — SEU/MBU —
   /// shares one maximally-optimized kernel across runs; site-keyed
@@ -494,7 +486,7 @@ class ParallelFaultSimulator {
   bool on_demand_cones_ = false;  // cone source, fixed at construction
   std::size_t words_per_cone_ = 0;
   GoldenTrace golden_;
-  std::shared_ptr<const CompiledKernel> kernel_;  // null when interpreted
+  std::shared_ptr<const CompiledKernel> kernel_;
   /// Optimized kernel clones (sim/kernel_opt.h), built lazily per preserve
   /// shape and cached across runs: one for FF-keyed campaigns (empty
   /// preserve set — maximal optimization) and one for the latest site-keyed

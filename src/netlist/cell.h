@@ -108,27 +108,4 @@ enum class CellType : std::uint8_t {
   }
 }
 
-/// Evaluates a combinational cell bitwise on 64 independent machines at once.
-/// This is the kernel of the parallel fault simulator: lane k of every word
-/// carries the value of the signal in faulty machine k.
-[[nodiscard]] constexpr std::uint64_t eval_cell_word(CellType type,
-                                                     std::uint64_t a,
-                                                     std::uint64_t b,
-                                                     std::uint64_t c) noexcept {
-  switch (type) {
-    case CellType::kConst0: return 0;
-    case CellType::kConst1: return ~std::uint64_t{0};
-    case CellType::kBuf:    return a;
-    case CellType::kNot:    return ~a;
-    case CellType::kAnd:    return a & b;
-    case CellType::kOr:     return a | b;
-    case CellType::kNand:   return ~(a & b);
-    case CellType::kNor:    return ~(a | b);
-    case CellType::kXor:    return a ^ b;
-    case CellType::kXnor:   return ~(a ^ b);
-    case CellType::kMux:    return (a & c) | (~a & b);
-    default:                return 0;
-  }
-}
-
 }  // namespace femu

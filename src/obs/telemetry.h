@@ -32,7 +32,7 @@ struct GroupWidthCounts {
 /// identical for any thread count, with telemetry attached or not.
 struct CampaignTelemetry {
   // Construction phases (timed once, in the engine constructor).
-  double compile_seconds = 0.0;  ///< kernel compile (0 when interpreted)
+  double compile_seconds = 0.0;  ///< kernel compile (+ optimizer when caching)
   double golden_seconds = 0.0;   ///< golden trace + slot trace + word image
   double cone_seconds = 0.0;     ///< eager cone matrices or cone-oracle CSR
 
@@ -59,9 +59,9 @@ struct CampaignTelemetry {
   double lane_occupancy = 1.0;
 
   // Kernel optimizer (sim/kernel_opt.h) accounting for the kernel the last
-  // run executed. All zero when the optimizer is off or the backend is
-  // interpreted; opt_seconds counts only cache-miss builds (a run that
-  // reuses a cached optimized kernel reports the reduction at zero cost).
+  // run executed. All zero when the optimizer is off; opt_seconds counts
+  // only cache-miss builds (a run that reuses a cached optimized kernel
+  // reports the reduction at zero cost).
   double opt_seconds = 0.0;          ///< optimizer pass time (cache misses)
   std::uint64_t opt_raw_instrs = 0;  ///< instruction count before passes
   std::uint64_t opt_instrs = 0;      ///< instruction count actually executed
@@ -150,7 +150,7 @@ class TelemetryCollector {
   /// Kernel-optimizer accounting of the stream the run executes (gauges:
   /// last run wins — the stats describe a kernel, not an accumulation).
   /// Campaign-thread only, before workers spawn. All-zero when the
-  /// optimizer is off or the backend is interpreted.
+  /// optimizer is off.
   void record_optimizer(std::uint64_t raw_instrs, std::uint64_t opt_instrs,
                         std::uint64_t absorbed, std::uint64_t folded,
                         std::uint64_t dead, std::uint64_t preserved);

@@ -14,20 +14,17 @@ namespace femu {
 
 struct ArtifactCacheAccess;
 
-/// Which evaluation backend a simulator runs on.
+/// Which evaluation backend the scalar LevelizedSimulator runs on.
 ///
 /// kInterpreted walks the Circuit object graph every cycle (type lookup,
-/// fanin-span chase per node) — the original engines, kept as the reference
-/// and as the baseline the benches measure speedups against. kCompiled
-/// executes a CompiledKernel instruction stream.
+/// fanin-span chase per node) — kept as a test oracle for the compiled
+/// kernel and as the baseline kernels_microbench measures the scalar
+/// speedup against. kCompiled executes a CompiledKernel instruction stream.
+/// Every lane-parallel engine is compiled-only.
 enum class SimBackend : std::uint8_t {
   kInterpreted,
   kCompiled,
 };
-
-[[nodiscard]] constexpr const char* sim_backend_name(SimBackend b) noexcept {
-  return b == SimBackend::kInterpreted ? "interpreted" : "compiled";
-}
 
 /// A Circuit lowered once into a flat, cache-friendly instruction stream.
 ///

@@ -12,23 +12,8 @@ constexpr std::uint64_t broadcast(bool bit) {
 
 }  // namespace
 
-ParallelSimulator::ParallelSimulator(const Circuit& circuit,
-                                     SimBackend backend)
-    : circuit_(circuit),
-      kernel_(backend == SimBackend::kCompiled ? compile_kernel(circuit)
-                                               : nullptr),
-      values_(circuit.node_count(), 0),
-      state_(circuit.num_dffs(), 0) {
-  if (kernel_) {
-    // compile_kernel() already validated and resolved the D drivers.
-    const auto d_slots = kernel_->dff_d_slots();
-    dff_d_.assign(d_slots.begin(), d_slots.end());
-    kernel_->init(std::span<std::uint64_t>(values_));
-  } else {
-    circuit.validate();
-    dff_d_ = circuit.dff_drivers();
-  }
-}
+ParallelSimulator::ParallelSimulator(const Circuit& circuit)
+    : ParallelSimulator(compile_kernel(circuit)) {}
 
 ParallelSimulator::ParallelSimulator(
     std::shared_ptr<const CompiledKernel> kernel)
@@ -36,17 +21,14 @@ ParallelSimulator::ParallelSimulator(
       kernel_(std::move(kernel)),
       values_(circuit_.node_count(), 0),
       state_(circuit_.num_dffs(), 0) {
+  // compile_kernel() already validated and resolved the D drivers.
   const auto d_slots = kernel_->dff_d_slots();
   dff_d_.assign(d_slots.begin(), d_slots.end());
   kernel_->init(std::span<std::uint64_t>(values_));
 }
 
 void ParallelSimulator::reset() {
-  if (kernel_) {
-    kernel_->init(std::span<std::uint64_t>(values_));
-  } else {
-    std::fill(values_.begin(), values_.end(), std::uint64_t{0});
-  }
+  kernel_->init(std::span<std::uint64_t>(values_));
   std::fill(state_.begin(), state_.end(), std::uint64_t{0});
 }
 
@@ -90,23 +72,7 @@ void ParallelSimulator::eval_loaded_inputs() {
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     values_[dffs[i]] = state_[i];
   }
-  if (kernel_) {
-    kernel_->eval(values_.data());
-    return;
-  }
-  const std::size_t n = circuit_.node_count();
-  for (NodeId id = 0; id < n; ++id) {
-    const CellType type = circuit_.type(id);
-    if (!is_comb_cell(type) && type != CellType::kConst0 &&
-        type != CellType::kConst1) {
-      continue;
-    }
-    const auto fanins = circuit_.fanins(id);
-    const std::uint64_t a = fanins.size() > 0 ? values_[fanins[0]] : 0;
-    const std::uint64_t b = fanins.size() > 1 ? values_[fanins[1]] : 0;
-    const std::uint64_t c = fanins.size() > 2 ? values_[fanins[2]] : 0;
-    values_[id] = eval_cell_word(type, a, b, c);
-  }
+  kernel_->eval(values_.data());
 }
 
 void ParallelSimulator::step() {

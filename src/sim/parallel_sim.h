@@ -17,25 +17,19 @@ namespace femu {
 /// machine k. All machines receive the same stimulus (inputs are broadcast
 /// to all lanes) but may hold different flip-flop states — exactly the shape
 /// of a single-stuck-SEU campaign, where 64 faulty machines differ from the
-/// golden run only in their state evolution. This is the workhorse behind
-/// fault::ParallelFaultSimulator.
+/// golden run only in their state evolution. The per-fault MBU reference
+/// (MbuFaultSimulator) runs on it; the campaign engine uses the
+/// width-generic LaneEngine instead.
 ///
-/// By default the combinational network executes through a CompiledKernel
-/// (flat instruction stream, pre-resolved fanin slots); construct with
-/// SimBackend::kInterpreted to walk the Circuit object graph per cycle
-/// instead (the original engine, kept as the measured baseline).
+/// The combinational network executes through a CompiledKernel (flat
+/// instruction stream, pre-resolved fanin slots).
 class ParallelSimulator {
  public:
-  explicit ParallelSimulator(const Circuit& circuit,
-                             SimBackend backend = SimBackend::kCompiled);
+  explicit ParallelSimulator(const Circuit& circuit);
 
   /// Shares a pre-built kernel (one kernel serves many engines — this is how
   /// the threaded campaign sharder avoids re-lowering per worker).
   explicit ParallelSimulator(std::shared_ptr<const CompiledKernel> kernel);
-
-  [[nodiscard]] SimBackend backend() const noexcept {
-    return kernel_ ? SimBackend::kCompiled : SimBackend::kInterpreted;
-  }
 
   /// All lanes to the reset state (all flip-flops 0).
   void reset();
@@ -94,7 +88,7 @@ class ParallelSimulator {
   void eval_loaded_inputs();
 
   const Circuit& circuit_;
-  std::shared_ptr<const CompiledKernel> kernel_;  // null when interpreted
+  std::shared_ptr<const CompiledKernel> kernel_;
   std::vector<NodeId> dff_d_;          // D-driver per DFF, snapshot
   std::vector<std::uint64_t> values_;  // per node, one lane per bit
   std::vector<std::uint64_t> state_;   // per DFF

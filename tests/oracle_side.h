@@ -36,8 +36,7 @@ void for_each_oracle_side_engine(const Circuit& circuit, const Testbench& tb,
     for (const unsigned threads : {1u, 4u}) {
       ParallelFaultSimulator sim(
           circuit, tb,
-          CampaignConfig{SimBackend::kCompiled, lanes, threads,
-                         /*cone_restricted=*/true,
+          CampaignConfig{lanes, threads, /*cone_restricted=*/true,
                          CampaignSchedule::kConeAffine});
       ASSERT_TRUE(sim.on_demand_cones());
       ASSERT_EQ(sim.cones(), nullptr);

@@ -1,7 +1,7 @@
 // Compiled evaluation kernel: lowering invariants, cross-validation of the
 // compiled scalar/64/256-lane engines against the interpreted reference on
-// random circuits and random fault lists, and determinism of the threaded
-// campaign sharder.
+// random circuits, of 64/256-lane campaigns against the serial reference on
+// random fault lists, and determinism of the threaded campaign sharder.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
+#include "fault/serial_faultsim.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden_words.h"
 #include "sim/levelized_sim.h"
@@ -164,7 +165,7 @@ TEST(LaneEngine256Test, FlippedLaneDivergesOthersTrackGolden) {
   EXPECT_EQ(T::count(state_diff), 1u);  // every other lane is golden
 }
 
-// ---- campaign cross-validation: backends x lane widths ----------------------
+// ---- campaign cross-validation: serial reference x lane widths -------------
 
 void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
                           const char* label) {
@@ -190,15 +191,12 @@ TEST_P(CampaignBackendAgreement, RandomCircuitRandomFaults) {
   const auto faults = sample_fault_list(spec.num_dffs, tb.num_cycles(), 300,
                                         GetParam() + 17);
 
-  ParallelFaultSimulator interp(
-      circuit, tb,
-      {SimBackend::kInterpreted, LaneWidth::k64, /*num_threads=*/1});
-  ParallelFaultSimulator comp64(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, 1});
-  ParallelFaultSimulator comp256(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k256, 1});
+  SerialFaultSimulator serial(circuit, tb);
+  ParallelFaultSimulator comp64(circuit, tb,
+                                {LaneWidth::k64, /*num_threads=*/1});
+  ParallelFaultSimulator comp256(circuit, tb, {LaneWidth::k256, 1});
 
-  const CampaignResult a = interp.run(faults);
+  const CampaignResult a = serial.run(faults);
   const CampaignResult b = comp64.run(faults);
   const CampaignResult c = comp256.run(faults);
   expect_same_outcomes(a, b, "compiled-64");
@@ -216,19 +214,19 @@ TEST(CampaignShardingTest, ThreadedOutcomesIdenticalToSingleThreaded) {
   const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
 
   ParallelFaultSimulator single(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, /*num_threads=*/1});
+      circuit, tb, {LaneWidth::k64, /*num_threads=*/1});
   const CampaignResult base = single.run(faults);
 
   for (const unsigned threads : {2u, 4u, 7u}) {
     ParallelFaultSimulator sharded(
-        circuit, tb, {SimBackend::kCompiled, LaneWidth::k64, threads});
+        circuit, tb, {LaneWidth::k64, threads});
     const CampaignResult got = sharded.run(faults);
     expect_same_outcomes(base, got, "threaded-64");
     EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
   }
 
   ParallelFaultSimulator sharded256(
-      circuit, tb, {SimBackend::kCompiled, LaneWidth::k256, 4});
+      circuit, tb, {LaneWidth::k256, 4});
   expect_same_outcomes(base, sharded256.run(faults), "threaded-256");
 }
 
@@ -236,19 +234,9 @@ TEST(CampaignShardingTest, DefaultConfigUsesHardwareConcurrency) {
   const Circuit circuit = circuits::build_shift_register(4);
   const Testbench tb = zero_testbench(1, 16);
   ParallelFaultSimulator sim(circuit, tb);
-  EXPECT_EQ(sim.config().backend, SimBackend::kCompiled);
   const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
   (void)sim.run(faults);
   EXPECT_GE(sim.last_run_threads(), 1u);
-}
-
-TEST(CampaignShardingTest, InterpretedRejects256Lanes) {
-  const Circuit circuit = circuits::build_shift_register(4);
-  const Testbench tb = zero_testbench(1, 8);
-  EXPECT_THROW(ParallelFaultSimulator(
-                   circuit, tb,
-                   {SimBackend::kInterpreted, LaneWidth::k256, 1}),
-               Error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Cone-restricted differential campaign engine: fanout-cone extraction,
 // golden slot trace, sub-program derivation, scheduling permutations and
-// campaign edge cases — always cross-checked against the full-eval compiled
-// path and the interpreted reference.
+// campaign edge cases — always cross-checked against the full-eval path and
+// the serial per-fault reference.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "circuits/small.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
+#include "fault/serial_faultsim.h"
 #include "netlist/fanout_cones.h"
 #include "sim/golden_slots.h"
 #include "stim/generate.h"
@@ -22,19 +23,14 @@ namespace {
 
 CampaignConfig cone_config(LaneWidth lanes = LaneWidth::k64,
                            unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
+  return {lanes, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig full_config(LaneWidth lanes = LaneWidth::k64,
                            unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
-}
-
-CampaignConfig interp_config() {
-  return {SimBackend::kInterpreted, LaneWidth::k64, 1,
-          /*cone_restricted=*/false, CampaignSchedule::kAsGiven};
+  return {lanes, threads, /*cone_restricted=*/false,
+          CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
@@ -48,13 +44,13 @@ void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
   }
 }
 
-// Grades `faults` under interpreted, compiled-full and cone-restricted
+// Grades `faults` under the serial reference, full-eval and cone-restricted
 // configurations (64 and 256 lanes, cycle-major and cone-affine schedules)
 // and requires identical per-fault outcomes in caller order.
 void cross_check(const Circuit& circuit, const Testbench& tb,
                  std::span<const Fault> faults, const char* label) {
-  ParallelFaultSimulator interp(circuit, tb, interp_config());
-  const CampaignResult ref = interp.run(faults);
+  SerialFaultSimulator serial(circuit, tb);
+  const CampaignResult ref = serial.run(faults);
 
   ParallelFaultSimulator full64(circuit, tb, full_config());
   expect_same_outcomes(ref, full64.run(faults), label);
@@ -227,7 +223,7 @@ TEST(ConeCampaignEdgeTest, EmptyFaultList) {
   const Circuit c = circuits::build_by_name("b06_like");
   const Testbench tb = random_testbench(c.num_inputs(), 16, 3);
   for (const CampaignConfig& config :
-       {cone_config(), full_config(), interp_config()}) {
+       {cone_config(), full_config()}) {
     ParallelFaultSimulator sim(c, tb, config);
     const CampaignResult result = sim.run({});
     EXPECT_EQ(result.size(), 0u);
@@ -349,7 +345,10 @@ TEST(ConeCampaignTest, ConeRestrictionReducesExecutedInstructions) {
   ParallelFaultSimulator cone(c, tb, cone_config());
   const CampaignResult a = full.run(faults);
   const CampaignResult b = cone.run(faults);
-  expect_same_outcomes(a, b, "instr-reduction");
+  SerialFaultSimulator serial(c, tb);
+  const CampaignResult ref = serial.run(faults);
+  expect_same_outcomes(ref, a, "instr-reduction full");
+  expect_same_outcomes(ref, b, "instr-reduction cone");
   EXPECT_LT(cone.last_run_eval_instrs(), full.last_run_eval_instrs());
   EXPECT_NE(cone.cones(), nullptr);
   EXPECT_EQ(full.cones(), nullptr);

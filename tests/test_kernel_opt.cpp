@@ -247,9 +247,9 @@ TEST(KernelOptTest, RegistryCircuitsShrinkAndStayEquivalent) {
 
 CampaignConfig campaign_config(bool optimize_on, LaneWidth lanes,
                                bool cone, unsigned threads) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads, cone,
+  CampaignConfig config{lanes, threads, cone,
                         cone ? CampaignSchedule::kConeAffine
-                             : CampaignSchedule::kAsGiven};
+                             : CampaignSchedule::kCycleMajor};
   config.optimize = optimize_on;
   return config;
 }

@@ -84,7 +84,7 @@ TEST(ParallelBuild, UnifiedCaptureMatchesSeparatePasses) {
     const auto kernel = compile_kernel(circuit);
 
     // The references the unified walk replaced: the interpreter's golden
-    // trace (also what the interpreted backend still uses) and the
+    // trace (also what the serial references still use) and the
     // dedicated slot-trace pass.
     const GoldenTrace ref_trace = capture_golden(circuit, tb.vectors());
     const GoldenSlotTrace ref_slots =

@@ -46,14 +46,13 @@ void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
        {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
     ParallelFaultSimulator full(
         circuit, tb,
-        CampaignConfig{SimBackend::kCompiled, lanes, 1,
-                       /*cone_restricted=*/false, CampaignSchedule::kAsGiven});
+        CampaignConfig{lanes, 1, /*cone_restricted=*/false,
+                       CampaignSchedule::kCycleMajor});
     expect_same_outcomes(ref, full.run_set(faults), label);
     for (const unsigned threads : {1u, 4u}) {
       ParallelFaultSimulator cone(
           circuit, tb,
-          CampaignConfig{SimBackend::kCompiled, lanes, threads,
-                         /*cone_restricted=*/true,
+          CampaignConfig{lanes, threads, /*cone_restricted=*/true,
                          CampaignSchedule::kConeAffine});
       expect_same_outcomes(ref, cone.run_set(faults), label);
     }
@@ -159,7 +158,7 @@ TEST(PulseWidthTest, LatchingProbabilityMatchesWidthOnProbeCircuit) {
   const SetSites sites(c);
   ParallelFaultSimulator sim(
       c, tb,
-      CampaignConfig{SimBackend::kCompiled, LaneWidth::k256, 2,
+      CampaignConfig{LaneWidth::k256, 2,
                      /*cone_restricted=*/true, CampaignSchedule::kConeAffine});
   for (const std::uint16_t q :
        {std::uint16_t{64}, std::uint16_t{128}, std::uint16_t{208}}) {

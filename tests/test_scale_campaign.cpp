@@ -20,7 +20,7 @@ namespace femu {
 namespace {
 
 CampaignConfig scale_config(LaneWidth lanes, unsigned threads) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
+  return {lanes, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
 }
 

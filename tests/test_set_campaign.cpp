@@ -1,6 +1,6 @@
 // Gate-level SET fault grading: site enumeration and fanout-free collapse,
 // per-gate cones, the kernel injection overlay, and the unified campaign
-// API — always cross-checked against the interpreted per-fault reference
+// API — always cross-checked against the serial per-fault reference
 // simulator (SerialSetSimulator walks the Circuit graph; the engines run
 // the compiled kernel with the instruction-stream overlay).
 //
@@ -15,7 +15,6 @@
 
 #include "circuits/b14.h"
 #include "circuits/generators.h"
-#include "common/error.h"
 #include "circuits/registry.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
@@ -28,14 +27,14 @@ namespace {
 
 CampaignConfig set_cone_config(LaneWidth lanes = LaneWidth::k64,
                                unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
+  return {lanes, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig set_full_config(LaneWidth lanes = LaneWidth::k64,
                                unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+  return {lanes, threads, /*cone_restricted=*/false,
+          CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_set_outcomes(const SetCampaignResult& a,
@@ -49,7 +48,7 @@ void expect_same_set_outcomes(const SetCampaignResult& a,
   }
 }
 
-// Grades `faults` under the interpreted per-fault reference and every
+// Grades `faults` under the serial per-fault reference and every
 // compiled engine configuration (full vs cone, 64 vs 256 lanes, cycle-major
 // and cone-affine schedules, 1 and several threads) and requires identical
 // per-fault outcomes in caller order.
@@ -342,23 +341,12 @@ TEST(UnifiedCampaignTest, OneConfigDrivesAllThreeModels) {
   EXPECT_EQ(set.counts.total(), sites.num_representatives() * 8);
 }
 
-TEST(UnifiedCampaignTest, SetRequiresCompiledBackend) {
-  const Circuit c = circuits::build_by_name("b06_like");
-  const Testbench tb = random_testbench(c.num_inputs(), 8, 1);
-  CampaignConfig config{SimBackend::kInterpreted, LaneWidth::k64, 1,
-                        /*cone_restricted=*/false, CampaignSchedule::kAsGiven};
-  ParallelFaultSimulator sim(c, tb, config);
-  const SetSites sites(c);
-  const auto faults = complete_set_fault_list(sites, 4);
-  EXPECT_THROW((void)sim.run_set(faults), Error);
-}
-
 // ---- b14 (slow label) ------------------------------------------------------
 
 TEST(SetCampaignSlowTest, B14SampledCampaignAgreesEverywhere) {
   // The acceptance cross-check: a sampled b14 SET campaign must produce
   // identical per-fault outcomes (hence identical classification counts)
-  // across the interpreted reference, compiled-64, compiled-256, full and
+  // across the serial reference, compiled-64, compiled-256, full and
   // cone-restricted evaluation, both non-trivial schedules and ≥2 thread
   // counts.
   const Circuit c = circuits::build_b14();

@@ -2,7 +2,7 @@
 // fanout-free collapse (reused from SetSites), the every-cycle force
 // overlay (op-tagged AND/OR masks), test-pattern classification semantics
 // (no convergence retirement; undetected faults map latent/silent by the
-// final state) — always cross-checked against the interpreted per-fault
+// final state) — always cross-checked against the serial per-fault
 // reference simulator across lane widths, schedules and thread counts, on
 // both sides of the cone-source rule.
 //
@@ -18,7 +18,6 @@
 #include "circuits/b14.h"
 #include "circuits/generators.h"
 #include "circuits/registry.h"
-#include "common/error.h"
 #include "fault/fault_list.h"
 #include "fault/model_traits.h"
 #include "fault/parallel_faultsim.h"
@@ -31,14 +30,14 @@ namespace {
 
 CampaignConfig stuckat_cone_config(LaneWidth lanes = LaneWidth::k64,
                                    unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/true,
+  return {lanes, threads, /*cone_restricted=*/true,
           CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig stuckat_full_config(LaneWidth lanes = LaneWidth::k64,
                                    unsigned threads = 1) {
-  return {SimBackend::kCompiled, lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kAsGiven};
+  return {lanes, threads, /*cone_restricted=*/false,
+          CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_stuckat_outcomes(const StuckAtCampaignResult& a,
@@ -53,7 +52,7 @@ void expect_same_stuckat_outcomes(const StuckAtCampaignResult& a,
   }
 }
 
-// Grades `faults` under the interpreted per-fault reference and every
+// Grades `faults` under the serial per-fault reference and every
 // compiled engine configuration — {64, 256, 512} lanes x {1, 4} threads on
 // the cone engine, both non-trivial schedules, plus the full-eval path per
 // lane width — and requires identical per-fault outcomes in caller order.
@@ -279,17 +278,6 @@ TEST(StuckAtSemanticsTest, ReExcitationIsNotLostToConvergence) {
   EXPECT_EQ(result.outcomes[0].detect_cycle, 5u);
 }
 
-TEST(StuckAtSemanticsTest, RequiresCompiledBackend) {
-  const Circuit c = circuits::build_by_name("b06_like");
-  const Testbench tb = random_testbench(c.num_inputs(), 8, 1);
-  CampaignConfig config{SimBackend::kInterpreted, LaneWidth::k64, 1,
-                        /*cone_restricted=*/false, CampaignSchedule::kAsGiven};
-  ParallelFaultSimulator sim(c, tb, config);
-  const SetSites sites(c);
-  const auto faults = complete_stuckat_fault_list(sites);
-  EXPECT_THROW((void)sim.run_stuckat(faults), Error);
-}
-
 // ---- cross-validation at scale ---------------------------------------------
 
 class StuckAtCampaignAgreement
@@ -366,7 +354,7 @@ TEST(UnifiedCampaignTest, OneConfigDrivesAllFourModels) {
 
 TEST(StuckAtCampaignSlowTest, B14SampledCampaignAgreesEverywhere) {
   // The acceptance cross-check: a sampled b14 stuck-at campaign must
-  // produce identical per-fault outcomes across the interpreted reference
+  // produce identical per-fault outcomes across the serial reference
   // and every compiled configuration (lane widths, cone policies,
   // schedules, thread counts).
   const Circuit c = circuits::build_b14();

@@ -39,8 +39,7 @@ Circuit medium_random_circuit(std::uint64_t seed = 7) {
 
 CampaignConfig cone_config(LaneWidth lanes, unsigned threads,
                            obs::TelemetryCollector* telemetry = nullptr) {
-  CampaignConfig config{SimBackend::kCompiled, lanes, threads,
-                        /*cone_restricted=*/true,
+  CampaignConfig config{lanes, threads, /*cone_restricted=*/true,
                         CampaignSchedule::kConeAffine};
   config.telemetry = telemetry;
   return config;

@@ -1,6 +1,6 @@
 // Word512 lane tier: trait algebra, the runtime SIMD dispatch, and
-// cross-validation of the 512-lane engines against the interpreted
-// reference and the 64/256-lane compiled engines for all three fault
+// cross-validation of the 512-lane engines against the serial references
+// and the 64/256-lane engines for all three fault
 // models (SEU, MBU, SET) — on random circuits (tier1) and sampled b14
 // (*Slow* suites).
 
@@ -14,6 +14,7 @@
 #include "circuits/registry.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
+#include "fault/serial_faultsim.h"
 #include "fault/set_model.h"
 #include "sim/simd_dispatch.h"
 #include "stim/generate.h"
@@ -26,8 +27,8 @@ using T512 = LaneTraits<Word512>;
 CampaignConfig config_of(LaneWidth lanes, bool cone, unsigned threads = 1,
                          CampaignSchedule schedule =
                              CampaignSchedule::kConeAffine) {
-  return {SimBackend::kCompiled, lanes, threads, cone,
-          cone ? schedule : CampaignSchedule::kAsGiven};
+  return {lanes, threads, cone,
+          cone ? schedule : CampaignSchedule::kCycleMajor};
 }
 
 // ---- lane traits -----------------------------------------------------------
@@ -104,11 +105,8 @@ void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,
 
 void seu_cross_check_512(const Circuit& c, const Testbench& tb,
                          std::span<const Fault> faults, const char* label) {
-  ParallelFaultSimulator interp(
-      c, tb,
-      {SimBackend::kInterpreted, LaneWidth::k64, 1, false,
-       CampaignSchedule::kAsGiven});
-  const CampaignResult ref = interp.run(faults);
+  SerialFaultSimulator serial(c, tb);
+  const CampaignResult ref = serial.run(faults);
   for (const bool cone : {false, true}) {
     for (const unsigned threads : {1u, 3u}) {
       ParallelFaultSimulator sim512(c, tb,
