@@ -269,13 +269,17 @@ std::vector<std::pair<std::string, double>> read_baseline(
 }
 
 CampaignConfig full_config(LaneWidth w, unsigned threads) {
-  return {w, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kCycleMajor};
+  return {.lanes = w,
+          .num_threads = threads,
+          .cone_restricted = false,
+          .schedule = CampaignSchedule::kCycleMajor};
 }
 
 CampaignConfig cone_config(LaneWidth w, unsigned threads) {
-  return {w, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
+  return {.lanes = w,
+          .num_threads = threads,
+          .cone_restricted = true,
+          .schedule = CampaignSchedule::kConeAffine};
 }
 
 /// cone_config with the kernel IR optimizer off — the raw-kernel A/B

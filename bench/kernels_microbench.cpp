@@ -117,7 +117,7 @@ BENCHMARK(BM_SerialFaultSim_B14)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSim_B14_Compiled(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {LaneWidth::k64, 1});
+      b14(), b14_tb(), {.lanes = LaneWidth::k64, .num_threads = 1});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -130,7 +130,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_Compiled)->Unit(benchmark::kMillisecond);
 // Same campaign on the raw (un-optimized) kernel — the A/B twin that shows
 // what the kernel IR optimizer (sim/kernel_opt.h) buys per fault.
 CampaignConfig noopt_config(LaneWidth w) {
-  CampaignConfig config{w, 1};
+  CampaignConfig config{.lanes = w, .num_threads = 1};
   config.optimize = false;
   return config;
 }
@@ -148,7 +148,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_CompiledNoOpt)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFaultSim_B14_Compiled256(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {LaneWidth::k256, 1});
+      b14(), b14_tb(), {.lanes = LaneWidth::k256, .num_threads = 1});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {
@@ -172,7 +172,7 @@ BENCHMARK(BM_ParallelFaultSim_B14_Compiled256NoOpt)
 
 void BM_ParallelFaultSim_B14_CompiledSharded(benchmark::State& state) {
   ParallelFaultSimulator sim(
-      b14(), b14_tb(), {LaneWidth::k256, /*num_threads=*/0});
+      b14(), b14_tb(), {.lanes = LaneWidth::k256, .num_threads = 0});
   const auto faults =
       complete_fault_list(b14().num_dffs(), b14_tb().num_cycles());
   for (auto _ : state) {

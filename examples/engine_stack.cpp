@@ -41,17 +41,24 @@ int main(int argc, char** argv) try {
     const char* label;
     CampaignConfig config;
   };
+  // Full-eval rows run cycle-major, cone-restricted rows cone-affine.
+  const auto config = [](LaneWidth lanes, unsigned threads, bool cone) {
+    return CampaignConfig{.lanes = lanes,
+                          .num_threads = threads,
+                          .cone_restricted = cone,
+                          .schedule = cone ? CampaignSchedule::kConeAffine
+                                           : CampaignSchedule::kCycleMajor};
+  };
   const Row rows[] = {
-      {"full-eval, 64 lanes, 1 thread",
-       {LaneWidth::k64, 1, false, CampaignSchedule::kCycleMajor}},
+      {"full-eval, 64 lanes, 1 thread", config(LaneWidth::k64, 1, false)},
       {"cone-restricted, 64 lanes, 1 thread",
-       {LaneWidth::k64, 1, true, CampaignSchedule::kConeAffine}},
+       config(LaneWidth::k64, 1, true)},
       {"cone-restricted, 256 lanes, 1 thread",
-       {LaneWidth::k256, 1, true, CampaignSchedule::kConeAffine}},
+       config(LaneWidth::k256, 1, true)},
       {"cone-restricted, 512 lanes, 1 thread",
-       {LaneWidth::k512, 1, true, CampaignSchedule::kConeAffine}},
+       config(LaneWidth::k512, 1, true)},
       {"cone-restricted, 512 lanes, all threads",
-       {LaneWidth::k512, hw, true, CampaignSchedule::kConeAffine}},
+       config(LaneWidth::k512, hw, true)},
   };
 
   TextTable table({"engine", "time (ms)", "faults/s", "speedup", "failure",

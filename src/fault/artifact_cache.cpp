@@ -94,7 +94,7 @@ struct Reader {
     out.assign_words(static_cast<std::size_t>(bits), scratch_words);
     return true;
   }
-  std::vector<std::uint64_t> scratch_words;
+  std::vector<std::uint64_t> scratch_words{};
 };
 
 void put_trace(Payload& out, const GoldenTrace& trace) {
@@ -190,7 +190,8 @@ struct ArtifactCacheAccess {
       std::uint8_t op = 0;
       if (!r.get(in.dest) || !r.get(in.a) || !r.get(in.b) || !r.get(in.c) ||
           !r.get(op) || !r.get(in.neg) || in.dest >= num_slots ||
-          in.a >= num_slots || in.b >= num_slots || in.c >= num_slots) {
+          in.a >= num_slots || in.b >= num_slots || in.c >= num_slots ||
+          !is_comb_cell(static_cast<CellType>(op))) {
         return false;
       }
       in.op = static_cast<CellType>(op);
@@ -203,7 +204,16 @@ struct ArtifactCacheAccess {
       }
       return true;
     };
+    // A level never exceeds the instruction count (finish_program sizes a
+    // table by the largest one).
+    const auto levels_ok = [&]() {
+      for (const std::uint32_t l : k->levels_) {
+        if (l > n_instr) return false;
+      }
+      return true;
+    };
     if (!r.get_vec(k->levels_) || k->levels_.size() != num_slots ||
+        !levels_ok() ||
         !r.get_vec(k->input_slots_) ||
         !bounded(k->input_slots_, circuit.num_inputs()) ||
         !r.get_vec(k->dff_slots_) ||
@@ -227,6 +237,7 @@ struct ArtifactCacheAccess {
                      static_cast<std::size_t>(stats[4]),
                      static_cast<std::size_t>(stats[5])};
     k->circuit_ = &circuit;
+    k->finish_program();  // run table and levelized order are not stored
     out = std::move(k);
     return true;
   }
@@ -421,7 +432,7 @@ ArtifactLoadResult load_artifacts(const std::string& dir,
     return corrupt("checksum mismatch");
   }
 
-  Reader r{payload, payload_size};
+  Reader r{.data = payload, .size = payload_size};
   std::uint32_t version = 0;
   if (!r.get(version)) {
     return corrupt("truncated header");

@@ -66,8 +66,10 @@ enum class CampaignSchedule : std::uint8_t {
 /// MbuFaultSimulator, SerialSetSimulator, SerialStuckAtSimulator) are test
 /// oracles, not selectable engines. The default — 64 lanes, cone-restricted
 /// differential evaluation, cone-affine scheduling, one worker per hardware
-/// thread — is the fastest portable setting; `cone_restricted = false`
-/// selects full-program evaluation.
+/// thread — is not the fastest setting everywhere (512 lanes grades a b14
+/// SEU campaign faster), but it is the one whose memory stays small: the
+/// broadcast golden word images and every worker's arenas grow with the
+/// lane width. `cone_restricted = false` selects full-program evaluation.
 ///
 /// A campaign runs at exactly one lane width: every group is a consecutive
 /// `lanes`-wide span of the scheduled fault list (only the last may be
@@ -110,7 +112,7 @@ struct CampaignConfig {
   /// artifacts via tmp + atomic rename. Outcome-neutral by the same contract
   /// as every other knob: classifications and work metrics are bit-identical
   /// cold vs warm.
-  std::string cache_dir;
+  std::string cache_dir{};
 
   /// The cone source is not a knob: the engine materializes the cone
   /// matrices (FanoutCones, and GateCones for site-keyed models) exactly

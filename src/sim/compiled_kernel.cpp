@@ -1,7 +1,6 @@
 #include "sim/compiled_kernel.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.h"
 
@@ -76,6 +75,34 @@ CompiledKernel::CompiledKernel(const Circuit& circuit) : circuit_(&circuit) {
   for (const auto& port : circuit.outputs()) {
     output_slots_.push_back(port.driver);
   }
+  finish_program();
+}
+
+void CompiledKernel::finish_program() {
+  build_runs(program_, program_runs_);
+
+  // Levelized order: one stable counting sort of program_ (node-id order)
+  // on the bucket (level, op, neg != 0), which leaves node id as the
+  // tiebreak. Linear in the program, so construction stays cheap on deep
+  // circuits.
+  constexpr std::uint32_t kClasses =
+      2 * (static_cast<std::uint32_t>(CellType::kDff) + 1);
+  std::uint32_t max_level = 0;
+  for (const Instr& in : program_) {
+    max_level = std::max(max_level, levels_[in.dest]);
+  }
+  const auto bucket = [&](const Instr& in) {
+    return levels_[in.dest] * kClasses + static_cast<std::uint32_t>(in.op) * 2 +
+           (in.neg != 0 ? 1U : 0U);
+  };
+  std::vector<std::uint32_t> next(std::size_t{max_level + 1} * kClasses + 1, 0);
+  for (const Instr& in : program_) ++next[bucket(in) + 1];
+  for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  levelized_order_.resize(program_.size());
+  for (std::size_t i = 0; i < program_.size(); ++i) {
+    levelized_order_[next[bucket(program_[i])]++] =
+        static_cast<std::uint32_t>(i);
+  }
 }
 
 void CompiledKernel::build_subprogram(std::span<const std::uint64_t> mask,
@@ -115,8 +142,18 @@ void CompiledKernel::build_subprogram(std::span<const std::uint64_t> mask,
   // through its global_of_local table). Narrowing always derives a subset,
   // so filtering the previous sub-program instead of the whole kernel
   // program cuts derivation cost to the size of what is still running.
+  //
+  // Levelized blocking: a levelized fresh build filters the program in
+  // (level, op, neg != 0, node id) order, so pass 2 lays each logic level's
+  // destinations out as one contiguous arena block and operand reads hit
+  // the block written just before (see the header), and each level splits
+  // into few long op runs. Instructions of one level never read each
+  // other, so any within-level order is topological and results are
+  // bit-identical. A filtered subsequence keeps its source's order, so
+  // narrowing sources stay sorted (or deliberately not) without a sort.
   if (narrow_from == nullptr) {
-    for (const Instr& in : program_) {
+    for (std::size_t k = 0; k < program_.size(); ++k) {
+      const Instr& in = program_[levelize ? levelized_order_[k] : k];
       if (!in_mask(in.dest)) continue;
       sp.instrs.push_back(in);
       note_read(in.a);
@@ -163,22 +200,6 @@ void CompiledKernel::build_subprogram(std::span<const std::uint64_t> mask,
     }
   }
 
-  // Levelized blocking: reorder the filtered stream by (level, node id)
-  // before arena assignment, so pass 2 lays each logic level's destinations
-  // out as one contiguous arena block and operand reads hit the block
-  // written just before (see the header). Any (level, ...) order is
-  // topological, so results are bit-identical. Narrowing sources are
-  // already levelized (or deliberately not) — a filtered subsequence keeps
-  // the source's order, so only full builds sort. Node id breaks level ties
-  // deterministically; dests are unique, so plain sort suffices.
-  if (levelize && narrow_from == nullptr) {
-    std::sort(sp.instrs.begin(), sp.instrs.end(),
-              [&](const Instr& x, const Instr& y) {
-                return std::pair{levels_[x.dest], x.dest} <
-                       std::pair{levels_[y.dest], y.dest};
-              });
-  }
-
   // Pass 2 — arena assignment: dense local indices for every slot the
   // sub-program touches. Loaded slots lead (boundary golden words, then
   // cone DFF state words), then each instruction claims the next index for
@@ -216,6 +237,20 @@ void CompiledKernel::build_subprogram(std::span<const std::uint64_t> mask,
     sp.out_locals.push_back(give_local(output_slots_[i]));
   }
   sp.arena_slots = next_local;
+  build_runs(sp.instrs, sp.runs);
+}
+
+void CompiledKernel::build_runs(std::span<const Instr> instrs,
+                                std::vector<OpRun>& runs) {
+  runs.clear();
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
+    const std::uint8_t negated = instrs[i].neg != 0 ? 1 : 0;
+    if (runs.empty() || runs.back().op != instrs[i].op ||
+        runs.back().negated != negated) {
+      runs.push_back({0, instrs[i].op, negated});
+    }
+    runs.back().end = static_cast<std::uint32_t>(i + 1);
+  }
 }
 
 std::shared_ptr<const CompiledKernel> compile_kernel(const Circuit& circuit) {

@@ -58,6 +58,25 @@ class CompiledKernel {
     std::uint8_t neg = 0;
   };
 
+  /// One op run of an instruction stream: a maximal stretch of consecutive
+  /// instructions sharing `op` and "carries complement flags" (neg != 0).
+  /// The eval loops dispatch on the opcode once per run and then execute
+  /// the run's instructions in a branch-free inner loop, so the per-
+  /// instruction cost is the gate itself, not an indirect jump. Runs are
+  /// stored as a table parallel to their stream: run k covers instructions
+  /// [runs[k-1].end, runs[k].end) (run 0 starts at 0), and the last run
+  /// ends at the stream's size. Derived from the stream by build_runs();
+  /// never serialized.
+  struct OpRun {
+    std::uint32_t end = 0;  ///< one past the run's last instruction
+    CellType op = CellType::kBuf;
+    std::uint8_t negated = 0;  ///< 1 when every instruction has neg != 0
+  };
+
+  /// Rebuilds `runs` as the op-run table of `instrs` (reuses its storage).
+  static void build_runs(std::span<const Instr> instrs,
+                         std::vector<OpRun>& runs);
+
   /// Lowers `circuit` (validates it first). The circuit must outlive the
   /// kernel — the kernel keeps a reference for diagnostics and index order.
   explicit CompiledKernel(const Circuit& circuit);
@@ -69,6 +88,10 @@ class CompiledKernel {
 
   [[nodiscard]] std::span<const Instr> program() const noexcept {
     return program_;
+  }
+  /// Op-run table of program() (see OpRun).
+  [[nodiscard]] std::span<const OpRun> program_runs() const noexcept {
+    return program_runs_;
   }
 
   /// Combinational logic level per value slot: 0 for sources (inputs, DFF Q
@@ -111,8 +134,10 @@ class CompiledKernel {
   /// destinations stay strictly ascending (the overlay-merge invariant).
   ///
   ///   instrs          — program() filtered to cone destinations, sorted by
-  ///                     (level, node id) when the build levelizes (see
-  ///                     below), operands/destinations in arena space
+  ///                     (level, op, neg != 0, node id) when the build
+  ///                     levelizes (see below), operands/destinations in
+  ///                     arena space
+  ///   runs            — op-run table of instrs (see OpRun)
   ///   arena_slots     — arena size in words
   ///   global_of_local — arena index -> kernel slot (node id)
   ///   local_of_slot   — kernel slot -> arena index; valid only for slots
@@ -133,6 +158,7 @@ class CompiledKernel {
   ///                     parallel arena slots of the drivers
   struct ConeSubProgram {
     std::vector<Instr> instrs;
+    std::vector<OpRun> runs;
     std::size_t arena_slots = 0;
     std::vector<std::uint32_t> global_of_local;
     std::vector<std::uint32_t> local_of_slot;
@@ -160,20 +186,26 @@ class CompiledKernel {
   /// the derivation filters that sub-program instead of the whole kernel
   /// program (the narrowing fast path). `narrow_from` must not alias `sp`.
   ///
-  /// `levelize` reorders the filtered instructions by (logic level, node id)
-  /// before arena assignment — any (level, ...) order is topological, so the
-  /// dataflow (and therefore every lane bit) is unchanged, but each level's
-  /// destinations now occupy one contiguous arena block and an instruction's
-  /// operand reads land in the block written just before it (plus the
-  /// leading boundary/state block) instead of gathering across the whole
-  /// arena. Arena destinations stay strictly ascending either way (each
-  /// instruction claims the next free arena slot in stream order), so the
-  /// overlay merge is unaffected; overlay dests are translated through this
-  /// build's local_of_slot as always. A narrowing derivation inherits the
-  /// source's order (a subsequence of a levelized stream is levelized), so
-  /// the flag only matters for full builds. The campaign engine always
-  /// levelizes; `levelize = false` (filtered netlist order) survives only as
-  /// the reference layout the sub-program property tests compare against.
+  /// `levelize` orders the filtered instructions by (logic level, op,
+  /// neg != 0, node id) before arena assignment: the build filters the
+  /// program in an order computed once per kernel, so no derivation sorts.
+  /// Instructions
+  /// of one level
+  /// never read each other, so any order within a level is topological and
+  /// every lane bit is unchanged; the level key makes each level's
+  /// destinations one contiguous arena block whose operand reads land in the
+  /// blocks written just before it (plus the leading boundary/state block),
+  /// and the (op, neg != 0) key groups each level into few, long op runs
+  /// for the run-batched eval loops. Arena destinations stay strictly
+  /// ascending either way (each instruction claims the next free arena slot
+  /// in stream order), so the overlay merge is unaffected; overlay dests
+  /// are translated through this build's local_of_slot as always. A
+  /// narrowing derivation inherits the source's order (a subsequence of a
+  /// sorted stream is sorted by the same key, so it equals a fresh build of
+  /// the narrowed mask), so the flag only matters for full builds. The
+  /// campaign engine always levelizes; `levelize = false` (filtered netlist
+  /// order) survives only as the reference layout the sub-program property
+  /// tests compare against. Every build fills `runs`.
   void build_subprogram(std::span<const std::uint64_t> mask,
                         ConeSubProgram& sp,
                         const ConeSubProgram* narrow_from = nullptr,
@@ -208,7 +240,8 @@ class CompiledKernel {
   /// into one entry. Overlay lists are sorted by dest and merged inline
   /// against the instruction stream, which is dest-ascending (full program
   /// and every cone sub-program alike), so injection costs one compare per
-  /// instruction on overlay cycles and nothing on all others.
+  /// op run plus a binary search within a run per entry on overlay cycles,
+  /// and nothing on all others (see eval_runs_overlay).
   template <typename Word>
   struct OverlayEntry {
     std::uint32_t dest = 0;
@@ -230,124 +263,30 @@ class CompiledKernel {
     return {dest, ~m, value ? m : LaneTraits<Word>::zero()};
   }
 
-  /// Executes one instruction (shared by the plain and overlay eval loops).
-  /// Operand complements (Instr::neg) take a single highly-predictable
-  /// branch: a raw stream carries no flags at all and an optimized stream
-  /// flags only a small minority of instructions, so the neg == 0 body —
-  /// the exact pre-optimizer codegen, no masking — is what the loop
-  /// actually runs; paying the flag XORs unconditionally instead costs
-  /// ~15 % of b14 campaign throughput at 512 lanes.
+  /// Executes an instruction stream run by run: one opcode dispatch per op
+  /// run, then a tight loop over the run's instructions. `values` must hold
+  /// every slot the stream reads already loaded; `runs` is the stream's
+  /// op-run table (see OpRun).
   template <typename Word>
-  static inline void exec_instr(const Instr& in, Word* values) {
-    using T = LaneTraits<Word>;
-    if (in.neg == 0) [[likely]] {
-      switch (in.op) {
-        case CellType::kBuf:
-          values[in.dest] = values[in.a];
-          break;
-        case CellType::kNot:
-          values[in.dest] = ~values[in.a];
-          break;
-        case CellType::kAnd:
-          values[in.dest] = values[in.a] & values[in.b];
-          break;
-        case CellType::kOr:
-          values[in.dest] = values[in.a] | values[in.b];
-          break;
-        case CellType::kNand:
-          values[in.dest] = ~(values[in.a] & values[in.b]);
-          break;
-        case CellType::kNor:
-          values[in.dest] = ~(values[in.a] | values[in.b]);
-          break;
-        case CellType::kXor:
-          values[in.dest] = values[in.a] ^ values[in.b];
-          break;
-        case CellType::kXnor:
-          values[in.dest] = ~(values[in.a] ^ values[in.b]);
-          break;
-        case CellType::kMux:
-          values[in.dest] = (values[in.a] & values[in.c]) |
-                            (~values[in.a] & values[in.b]);
-          break;
-        default:
-          break;  // sources/DFFs never appear in the program
-      }
-      return;
-    }
-    const Word a = values[in.a] ^ T::broadcast((in.neg & 1) != 0);
-    switch (in.op) {
-      case CellType::kBuf:
-        values[in.dest] = a;
-        break;
-      case CellType::kNot:
-        values[in.dest] = ~a;
-        break;
-      case CellType::kAnd:
-        values[in.dest] = a & (values[in.b] ^ T::broadcast((in.neg & 2) != 0));
-        break;
-      case CellType::kOr:
-        values[in.dest] = a | (values[in.b] ^ T::broadcast((in.neg & 2) != 0));
-        break;
-      case CellType::kNand:
-        values[in.dest] =
-            ~(a & (values[in.b] ^ T::broadcast((in.neg & 2) != 0)));
-        break;
-      case CellType::kNor:
-        values[in.dest] =
-            ~(a | (values[in.b] ^ T::broadcast((in.neg & 2) != 0)));
-        break;
-      case CellType::kXor:
-        values[in.dest] = a ^ values[in.b] ^ T::broadcast((in.neg & 2) != 0);
-        break;
-      case CellType::kXnor:
-        values[in.dest] =
-            ~(a ^ values[in.b] ^ T::broadcast((in.neg & 2) != 0));
-        break;
-      case CellType::kMux: {
-        const Word b = values[in.b] ^ T::broadcast((in.neg & 2) != 0);
-        const Word c = values[in.c] ^ T::broadcast((in.neg & 4) != 0);
-        values[in.dest] = (a & c) | (~a & b);
-        break;
-      }
-      default:
-        break;  // sources/DFFs never appear in the program
-    }
-  }
+  static void eval_runs(std::span<const Instr> instrs,
+                        std::span<const OpRun> runs, Word* values);
 
-  /// Executes an instruction sequence. `values` must hold num_slots() words
-  /// with every slot the sequence reads already loaded.
+  /// eval_runs with an injection overlay merged in: `overlay` must be
+  /// sorted by dest, and `instrs` is dest-ascending (the full program and
+  /// every cone sub-program are). A run is split after each instruction
+  /// whose dest an entry names, the entry is applied to that value, and the
+  /// run continues. Entries whose dest is not written by `instrs` are
+  /// skipped — a narrowed sub-program may have dropped an already-injected
+  /// site.
   template <typename Word>
-  static void eval_instrs(std::span<const Instr> instrs, Word* values) {
-    for (const Instr& in : instrs) {
-      exec_instr(in, values);
-    }
-  }
-
-  /// Executes an instruction sequence with an injection overlay merged in:
-  /// `overlay` must be sorted by dest (strictly ascending). Entries whose
-  /// dest is not written by `instrs` are skipped — a narrowed sub-program
-  /// may have dropped an already-injected site.
-  template <typename Word>
-  static void eval_instrs_overlay(std::span<const Instr> instrs, Word* values,
-                                  std::span<const OverlayEntry<Word>> overlay) {
-    const OverlayEntry<Word>* ov = overlay.data();
-    const OverlayEntry<Word>* const ov_end = ov + overlay.size();
-    for (const Instr& in : instrs) {
-      exec_instr(in, values);
-      while (ov != ov_end && ov->dest <= in.dest) {
-        if (ov->dest == in.dest) {
-          values[in.dest] = (values[in.dest] & ov->keep) ^ ov->flip;
-        }
-        ++ov;
-      }
-    }
-  }
+  static void eval_runs_overlay(std::span<const Instr> instrs,
+                                std::span<const OpRun> runs, Word* values,
+                                std::span<const OverlayEntry<Word>> overlay);
 
   /// Executes the full combinational program.
   template <typename Word>
   void eval(Word* values) const {
-    eval_instrs<Word>(program_, values);
+    eval_runs<Word>(program_, program_runs_, values);
   }
 
   /// Instruction-reduction accounting of the optimizer pass pipeline
@@ -378,9 +317,21 @@ class CompiledKernel {
   friend struct ArtifactCacheAccess;
   CompiledKernel() = default;
 
+  /// Rebuilds the tables derived from program_ and levels_: the op-run
+  /// table and the levelized order. Called wherever program_ is (re)built —
+  /// lowering, the optimizer and the artifact-cache load. Every opcode must
+  /// be a comb cell and every level at most program_.size().
+  void finish_program();
+
   const Circuit* circuit_ = nullptr;
   std::size_t num_slots_ = 0;
   std::vector<Instr> program_;
+  std::vector<OpRun> program_runs_;
+  /// Indices into program_ in (level, op, neg != 0, node id) order. A fresh
+  /// levelized build_subprogram filters the program in this order, and a
+  /// filtered subsequence of a sorted stream is sorted, so no derivation
+  /// sorts.
+  std::vector<std::uint32_t> levelized_order_;
   std::vector<std::uint32_t> levels_;
   std::vector<std::uint32_t> input_slots_;
   std::vector<std::uint32_t> dff_slots_;
@@ -390,18 +341,200 @@ class CompiledKernel {
   OptStats opt_stats_;
 };
 
-/// Word512's hot loops are runtime-dispatched: one binary carries both an
+namespace detail {
+
+/// Executes instructions [in, last) of one op run: opcode `Op` and the
+/// run's complement-flag class are compile-time, so the loop body is the
+/// gate alone. Plain runs (Negated = false) are the exact unflagged
+/// codegen: a raw stream carries no flags and an optimized one flags under
+/// a tenth of its instructions (paying the flag XORs on every instruction
+/// once cost ~15 % of b14 campaign throughput at 512 lanes). The flagged
+/// instructions sit in runs of their own, so a negated run applies the
+/// operand XOR masks unconditionally instead of branching per instruction
+/// on Instr::neg.
+template <CellType Op, bool Negated, typename Word>
+[[gnu::always_inline]] inline void exec_range(const CompiledKernel::Instr* in,
+                                              const CompiledKernel::Instr* last,
+                                              Word* v) {
+  using T = LaneTraits<Word>;
+  for (; in != last; ++in) {
+    Word a = v[in->a];
+    if constexpr (Negated) a ^= T::broadcast((in->neg & 1) != 0);
+    if constexpr (Op == CellType::kBuf) {
+      v[in->dest] = a;
+    } else if constexpr (Op == CellType::kNot) {
+      v[in->dest] = ~a;
+    } else {
+      Word b = v[in->b];
+      if constexpr (Negated) b ^= T::broadcast((in->neg & 2) != 0);
+      if constexpr (Op == CellType::kMux) {
+        Word c = v[in->c];
+        if constexpr (Negated) c ^= T::broadcast((in->neg & 4) != 0);
+        v[in->dest] = (a & c) | (~a & b);  // kMux: a selects c (1) / b (0)
+      } else if constexpr (Op == CellType::kAnd) {
+        v[in->dest] = a & b;
+      } else if constexpr (Op == CellType::kOr) {
+        v[in->dest] = a | b;
+      } else if constexpr (Op == CellType::kNand) {
+        v[in->dest] = ~(a & b);
+      } else if constexpr (Op == CellType::kNor) {
+        v[in->dest] = ~(a | b);
+      } else if constexpr (Op == CellType::kXor) {
+        v[in->dest] = a ^ b;
+      } else {
+        static_assert(Op == CellType::kXnor);
+        v[in->dest] = ~(a ^ b);
+      }
+    }
+  }
+}
+
+template <bool Negated, typename Word>
+[[gnu::always_inline]] inline void exec_op(CellType op,
+                                           const CompiledKernel::Instr* first,
+                                           const CompiledKernel::Instr* last,
+                                           Word* v) {
+  switch (op) {
+    case CellType::kBuf:
+      return exec_range<CellType::kBuf, Negated>(first, last, v);
+    case CellType::kNot:
+      return exec_range<CellType::kNot, Negated>(first, last, v);
+    case CellType::kAnd:
+      return exec_range<CellType::kAnd, Negated>(first, last, v);
+    case CellType::kOr:
+      return exec_range<CellType::kOr, Negated>(first, last, v);
+    case CellType::kNand:
+      return exec_range<CellType::kNand, Negated>(first, last, v);
+    case CellType::kNor:
+      return exec_range<CellType::kNor, Negated>(first, last, v);
+    case CellType::kXor:
+      return exec_range<CellType::kXor, Negated>(first, last, v);
+    case CellType::kXnor:
+      return exec_range<CellType::kXnor, Negated>(first, last, v);
+    case CellType::kMux:
+      return exec_range<CellType::kMux, Negated>(first, last, v);
+    default:
+      return;  // sources/DFFs never appear in a program
+  }
+}
+
+/// One opcode dispatch for instructions [first, last) of `run`.
+template <typename Word>
+[[gnu::always_inline]] inline void exec_run(const CompiledKernel::OpRun& run,
+                                            const CompiledKernel::Instr* first,
+                                            const CompiledKernel::Instr* last,
+                                            Word* v) {
+  if (run.negated != 0) {
+    exec_op<true>(run.op, first, last, v);
+  } else {
+    exec_op<false>(run.op, first, last, v);
+  }
+}
+
+/// The overlay merge, shared by every lane word: walks `runs` over the
+/// dest-ascending `instrs`, calling `exec(run, first, last)` for each
+/// stretch between overlay dests and `apply(entry)` right after the
+/// instruction that writes `entry.dest`. Entries whose dest no instruction
+/// writes are skipped. Word-agnostic, so the AVX-512 translation unit
+/// instantiates it with its own (internal-linkage) callables.
+template <typename Entry, typename Exec, typename Apply>
+[[gnu::always_inline]] inline void walk_runs_overlay(
+    std::span<const CompiledKernel::Instr> instrs,
+    std::span<const CompiledKernel::OpRun> runs, std::span<const Entry> overlay,
+    Exec&& exec, Apply&& apply) {
+  const CompiledKernel::Instr* const base = instrs.data();
+  const Entry* ov = overlay.data();
+  const Entry* const ov_end = ov + overlay.size();
+  std::uint32_t i = 0;
+  for (const CompiledKernel::OpRun& run : runs) {
+    const std::uint32_t last_dest = base[run.end - 1].dest;
+    for (;;) {
+      // Execute up to and including the first instruction in [i, run.end)
+      // whose dest is >= the next entry's, or the rest of the run when no
+      // entry's dest falls inside it.
+      const bool split = ov != ov_end && ov->dest <= last_dest;
+      std::uint32_t stop = run.end;
+      if (split) {
+        std::uint32_t lo = i;
+        std::uint32_t hi = run.end - 1;
+        while (lo < hi) {
+          const std::uint32_t mid = lo + (hi - lo) / 2;
+          if (base[mid].dest < ov->dest) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        stop = lo + 1;
+      }
+      exec(run, base + i, base + stop);
+      i = stop;
+      if (!split) break;
+      const std::uint32_t d = base[stop - 1].dest;
+      while (ov != ov_end && ov->dest < d) ++ov;  // dest never written
+      for (; ov != ov_end && ov->dest == d; ++ov) apply(*ov);
+    }
+  }
+}
+
+/// The portable run loops (every lane word; Word512's limb fallback).
+template <typename Word>
+void eval_runs_portable(std::span<const CompiledKernel::Instr> instrs,
+                        std::span<const CompiledKernel::OpRun> runs,
+                        Word* values) {
+  const CompiledKernel::Instr* first = instrs.data();
+  for (const CompiledKernel::OpRun& run : runs) {
+    const CompiledKernel::Instr* const last = instrs.data() + run.end;
+    exec_run(run, first, last, values);
+    first = last;
+  }
+}
+
+template <typename Word>
+void eval_runs_overlay_portable(
+    std::span<const CompiledKernel::Instr> instrs,
+    std::span<const CompiledKernel::OpRun> runs, Word* values,
+    std::span<const CompiledKernel::OverlayEntry<Word>> overlay) {
+  walk_runs_overlay(
+      instrs, runs, overlay,
+      [values](const CompiledKernel::OpRun& run,
+               const CompiledKernel::Instr* first,
+               const CompiledKernel::Instr* last) {
+        exec_run(run, first, last, values);
+      },
+      [values](const CompiledKernel::OverlayEntry<Word>& e) {
+        values[e.dest] = (values[e.dest] & e.keep) ^ e.flip;
+      });
+}
+
+}  // namespace detail
+
+template <typename Word>
+void CompiledKernel::eval_runs(std::span<const Instr> instrs,
+                               std::span<const OpRun> runs, Word* values) {
+  detail::eval_runs_portable<Word>(instrs, runs, values);
+}
+
+template <typename Word>
+void CompiledKernel::eval_runs_overlay(
+    std::span<const Instr> instrs, std::span<const OpRun> runs, Word* values,
+    std::span<const OverlayEntry<Word>> overlay) {
+  detail::eval_runs_overlay_portable<Word>(instrs, runs, values, overlay);
+}
+
+/// Word512's run loops are runtime-dispatched: one binary carries both an
 /// AVX-512 implementation (a separate translation unit compiled with
 /// -mavx512f, see sim/compiled_kernel_avx512.cpp) and the portable limb
 /// instantiation; a CPUID check picks the path once at first use. See
 /// sim/simd_dispatch.h for the feature query.
 template <>
-void CompiledKernel::eval_instrs<Word512>(std::span<const Instr> instrs,
-                                          Word512* values);
+void CompiledKernel::eval_runs<Word512>(std::span<const Instr> instrs,
+                                        std::span<const OpRun> runs,
+                                        Word512* values);
 template <>
-void CompiledKernel::eval_instrs_overlay<Word512>(
-    std::span<const Instr> instrs, Word512* values,
-    std::span<const OverlayEntry<Word512>> overlay);
+void CompiledKernel::eval_runs_overlay<Word512>(
+    std::span<const Instr> instrs, std::span<const OpRun> runs,
+    Word512* values, std::span<const OverlayEntry<Word512>> overlay);
 
 /// Builds a shareable kernel for `circuit`.
 [[nodiscard]] std::shared_ptr<const CompiledKernel> compile_kernel(
@@ -489,8 +622,8 @@ class LaneEngine {
     for (std::size_t i = 0; i < dffs.size(); ++i) {
       values_[dffs[i]] = state_[i];
     }
-    CompiledKernel::eval_instrs_overlay<Word>(kernel_->program(),
-                                              values_.data(), overlay);
+    CompiledKernel::eval_runs_overlay<Word>(
+        kernel_->program(), kernel_->program_runs(), values_.data(), overlay);
   }
 
   /// Differential evaluation of a cone sub-program against its dense slot
@@ -503,7 +636,7 @@ class LaneEngine {
   void eval_cone(const CompiledKernel::ConeSubProgram& sp,
                  const BitVec& golden_slots) {
     load_cone_arena(sp, golden_slots);
-    CompiledKernel::eval_instrs<Word>(sp.instrs, arena_.data());
+    CompiledKernel::eval_runs<Word>(sp.instrs, sp.runs, arena_.data());
   }
 
   /// eval_cone with an injection overlay merged into the sub-program
@@ -519,8 +652,8 @@ class LaneEngine {
       return;
     }
     load_cone_arena(sp, golden_slots);
-    CompiledKernel::eval_instrs_overlay<Word>(sp.instrs, arena_.data(),
-                                              overlay);
+    CompiledKernel::eval_runs_overlay<Word>(sp.instrs, sp.runs,
+                                            arena_.data(), overlay);
   }
 
   /// Clock edge: state <- D in every lane.

@@ -8,11 +8,11 @@
 
 namespace femu {
 
-/// Friend of CompiledKernel: rewrites a cloned kernel's program_, levels_,
-/// const1_slots_ and opt_stats_ in place. One forward walk interleaves
-/// absorption and folding over a per-slot value lattice; a backward sweep
-/// eliminates dead logic. See kernel_opt.h for the pass pipeline and the
-/// preserve contract.
+/// Friend of CompiledKernel: rewrites a cloned kernel's program_ (and the
+/// tables derived from it), levels_, const1_slots_ and opt_stats_ in place.
+/// One forward walk interleaves absorption and folding over a per-slot
+/// value lattice; a backward sweep eliminates dead logic. See kernel_opt.h
+/// for the pass pipeline and the preserve contract.
 class KernelOptimizer {
  public:
   KernelOptimizer(CompiledKernel& kernel, std::span<const NodeId> preserve)
@@ -485,6 +485,7 @@ void KernelOptimizer::run() {
     k_.levels_[in.dest] =
         std::max({k_.levels_[in.a], k_.levels_[in.b], k_.levels_[in.c]}) + 1;
   }
+  k_.finish_program();
 
   k_.opt_stats_ = stats;
 }

@@ -14,43 +14,23 @@ namespace femu {
 #ifdef FEMU_HAVE_AVX512_TU
 namespace detail {
 // Defined in compiled_kernel_avx512.cpp.
-void eval_instrs_word512_avx512(std::span<const CompiledKernel::Instr> instrs,
-                                Word512* values) noexcept;
-void eval_instrs_overlay_word512_avx512(
-    std::span<const CompiledKernel::Instr> instrs, Word512* values,
+void eval_runs_word512_avx512(std::span<const CompiledKernel::Instr> instrs,
+                              std::span<const CompiledKernel::OpRun> runs,
+                              Word512* values) noexcept;
+void eval_runs_overlay_word512_avx512(
+    std::span<const CompiledKernel::Instr> instrs,
+    std::span<const CompiledKernel::OpRun> runs, Word512* values,
     std::span<const CompiledKernel::OverlayEntry<Word512>> overlay) noexcept;
 }  // namespace detail
 #endif
 
+// The portable limb fallback is detail::eval_runs_portable<Word512> and
+// detail::eval_runs_overlay_portable<Word512>, instantiated only in this TU,
+// under baseline codegen. Deliberately *not* shared template instantiations
+// from an AVX-512-flagged TU — mixing those would let the linker resolve a
+// weak symbol to AVX-512 code and crash older hosts.
+
 namespace {
-
-// Portable limb fallback: the generic loops instantiated in this TU, under
-// baseline codegen. Deliberately *not* shared template instantiations from
-// an AVX-512-flagged TU — mixing those would let the linker resolve a weak
-// symbol to AVX-512 code and crash older hosts.
-void eval_instrs_word512_limbs(std::span<const CompiledKernel::Instr> instrs,
-                               Word512* values) noexcept {
-  for (const CompiledKernel::Instr& in : instrs) {
-    CompiledKernel::exec_instr<Word512>(in, values);
-  }
-}
-
-void eval_instrs_overlay_word512_limbs(
-    std::span<const CompiledKernel::Instr> instrs, Word512* values,
-    std::span<const CompiledKernel::OverlayEntry<Word512>> overlay) noexcept {
-  const CompiledKernel::OverlayEntry<Word512>* ov = overlay.data();
-  const CompiledKernel::OverlayEntry<Word512>* const ov_end =
-      ov + overlay.size();
-  for (const CompiledKernel::Instr& in : instrs) {
-    CompiledKernel::exec_instr<Word512>(in, values);
-    while (ov != ov_end && ov->dest <= in.dest) {
-      if (ov->dest == in.dest) {
-        values[in.dest] = (values[in.dest] & ov->keep) ^ ov->flip;
-      }
-      ++ov;
-    }
-  }
-}
 
 bool use_avx512() noexcept {
 #ifdef FEMU_HAVE_AVX512_TU
@@ -75,30 +55,31 @@ const char* word512_simd_path() noexcept {
 }
 
 template <>
-void CompiledKernel::eval_instrs<Word512>(std::span<const Instr> instrs,
-                                          Word512* values) {
+void CompiledKernel::eval_runs<Word512>(std::span<const Instr> instrs,
+                                        std::span<const OpRun> runs,
+                                        Word512* values) {
 #ifdef FEMU_HAVE_AVX512_TU
   static const bool avx = use_avx512();
   if (avx) {
-    detail::eval_instrs_word512_avx512(instrs, values);
+    detail::eval_runs_word512_avx512(instrs, runs, values);
     return;
   }
 #endif
-  eval_instrs_word512_limbs(instrs, values);
+  detail::eval_runs_portable<Word512>(instrs, runs, values);
 }
 
 template <>
-void CompiledKernel::eval_instrs_overlay<Word512>(
-    std::span<const Instr> instrs, Word512* values,
-    std::span<const OverlayEntry<Word512>> overlay) {
+void CompiledKernel::eval_runs_overlay<Word512>(
+    std::span<const Instr> instrs, std::span<const OpRun> runs,
+    Word512* values, std::span<const OverlayEntry<Word512>> overlay) {
 #ifdef FEMU_HAVE_AVX512_TU
   static const bool avx = use_avx512();
   if (avx) {
-    detail::eval_instrs_overlay_word512_avx512(instrs, values, overlay);
+    detail::eval_runs_overlay_word512_avx512(instrs, runs, values, overlay);
     return;
   }
 #endif
-  eval_instrs_overlay_word512_limbs(instrs, values, overlay);
+  detail::eval_runs_overlay_portable<Word512>(instrs, runs, values, overlay);
 }
 
 }  // namespace femu

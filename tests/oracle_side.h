@@ -36,8 +36,10 @@ void for_each_oracle_side_engine(const Circuit& circuit, const Testbench& tb,
     for (const unsigned threads : {1u, 4u}) {
       ParallelFaultSimulator sim(
           circuit, tb,
-          CampaignConfig{lanes, threads, /*cone_restricted=*/true,
-                         CampaignSchedule::kConeAffine});
+          CampaignConfig{.lanes = lanes,
+                         .num_threads = threads,
+                         .cone_restricted = true,
+                         .schedule = CampaignSchedule::kConeAffine});
       ASSERT_TRUE(sim.on_demand_cones());
       ASSERT_EQ(sim.cones(), nullptr);
       ASSERT_NE(sim.cone_oracle(), nullptr);

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "fault/set_model.h"
 #include "fault/stuckat_model.h"
 #include "netlist/fanout_cones.h"
+#include "op_runs.h"
 #include "sim/golden.h"
 #include "sim/golden_slots.h"
 #include "stim/generate.h"
@@ -248,9 +251,40 @@ TEST(ArtifactCache, CacheKeyMatchesEngineAndBundleMatchesRebuild) {
   EXPECT_EQ(loaded.bundle.ff_affinity_rank.size(), circuit.num_dffs());
   ASSERT_NE(loaded.bundle.opt_kernel, nullptr);
   EXPECT_EQ(loaded.bundle.opt_kernel->num_slots(), kernel->num_slots());
+  // The op-run table and the levelized program are derived at load, not
+  // stored: the loaded kernel's streams hold the same invariants.
+  const CompiledKernel& opt = *loaded.bundle.opt_kernel;
+  expect_op_runs_valid(opt.program(), opt.program_runs());
+  CompiledKernel::ConeSubProgram sp;
+  for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
+    opt.build_subprogram(cones.cone(ff), sp);
+    expect_levelized_order(opt, sp);
+    expect_op_runs_valid(sp.instrs, sp.runs);
+  }
 }
 
 // ---- degradation flavors ---------------------------------------------------
+
+/// Reads a cache entry, lets `patch` edit it, recomputes the trailing
+/// checksum and writes it back: a tampered entry that passes the checksum
+/// gate, so only the check under test can catch it.
+void patch_entry(const fs::path& entry,
+                 const std::function<void(std::vector<char>&)>& patch) {
+  std::vector<char> blob(fs::file_size(entry));
+  {
+    std::ifstream in(entry, std::ios::binary);
+    in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+  patch(blob);
+  Fnv64 sum;
+  sum.bytes(reinterpret_cast<const std::uint8_t*>(blob.data()) + 8,
+            blob.size() - 8 - sizeof(std::uint64_t));
+  const std::uint64_t digest = sum.digest();
+  std::memcpy(blob.data() + blob.size() - sizeof digest, &digest,
+              sizeof digest);
+  std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+}
 
 /// Reruns the campaign against a tampered entry and checks it degrades to a
 /// warned rebuild with unchanged grading.
@@ -311,30 +345,66 @@ TEST(ArtifactCache, VersionSkewDegradesToWarnedRebuild) {
   ParallelFaultSimulator cold(circuit, tb, cached_config(dir));
 
   // Bump the format version (first u32 of the payload, after the 8-byte
-  // magic) and recompute the trailing checksum — the checksum gate runs
-  // first, so a naive patch would read as corruption, not skew.
-  const fs::path entry = only_entry(dir);
-  std::vector<char> blob(fs::file_size(entry));
-  {
-    std::ifstream in(entry, std::ios::binary);
-    in.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, blob.data() + 8, sizeof version);
-  ++version;
-  std::memcpy(blob.data() + 8, &version, sizeof version);
-  Fnv64 sum;
-  sum.bytes(reinterpret_cast<const std::uint8_t*>(blob.data()) + 8,
-            blob.size() - 8 - sizeof(std::uint64_t));
-  const std::uint64_t digest = sum.digest();
-  std::memcpy(blob.data() + blob.size() - sizeof digest, &digest,
-              sizeof digest);
-  {
-    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
-
+  // magic).
+  patch_entry(only_entry(dir), [](std::vector<char>& blob) {
+    std::uint32_t version = 0;
+    std::memcpy(&version, blob.data() + 8, sizeof version);
+    ++version;
+    std::memcpy(blob.data() + 8, &version, sizeof version);
+  });
   expect_degraded_rebuild(circuit, tb, dir, "version-skew");
+}
+
+TEST(ArtifactCache, OutOfRangeKernelFieldsDegradeToWarnedRebuild) {
+  // A checksummed entry whose kernel carries an opcode the kernel cannot
+  // execute, or a logic level past the instruction count (which would size
+  // the levelized-order table), must be rejected at load.
+  const Circuit circuit = build_revision(7, 0);
+  const Testbench tb = random_testbench(circuit.num_inputs(), 24, 2005);
+  const std::string dir = fresh_dir("cache-kernel-fields");
+  const CampaignConfig config = cached_config(dir);
+  ParallelFaultSimulator cold(circuit, tb, config);
+  ArtifactLoadResult loaded =
+      load_artifacts(dir, engine_key(circuit, tb, config), circuit);
+  ASSERT_EQ(loaded.status, ArtifactCacheStatus::kHit) << loaded.detail;
+  const auto program = loaded.bundle.opt_kernel->program();
+  ASSERT_FALSE(program.empty());
+
+  // The kernel section starts with (num_slots, n_instr, first instruction),
+  // each instruction 18 bytes (dest, a, b, c as u32, op, neg as u8),
+  // followed by the levels vector (u64 count, u32 entries).
+  std::vector<char> head;
+  const auto append = [&head](const auto v) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    head.insert(head.end(), p, p + sizeof v);
+  };
+  append(std::uint64_t{circuit.node_count()});
+  append(std::uint64_t{program.size()});
+  append(program[0].dest);
+  append(program[0].a);
+  append(program[0].b);
+  append(program[0].c);
+  const auto program_at = [&](const std::vector<char>& blob) {
+    const auto it = std::search(blob.begin(), blob.end(), head.begin(),
+                                head.end());
+    EXPECT_NE(it, blob.end());
+    return static_cast<std::size_t>(it - blob.begin()) + 16;
+  };
+
+  patch_entry(only_entry(dir), [&](std::vector<char>& blob) {
+    blob[program_at(blob) + 16] = static_cast<char>(0xEE);  // first op
+  });
+  expect_degraded_rebuild(circuit, tb, dir,
+                          "malformed optimized-kernel section");
+
+  // The degraded run stored a fresh entry; now raise the first level.
+  patch_entry(only_entry(dir), [&](std::vector<char>& blob) {
+    const std::size_t levels = program_at(blob) + 18 * program.size() + 8;
+    const std::uint32_t huge = 0xFFFFFFF0U;
+    std::memcpy(blob.data() + levels, &huge, sizeof huge);
+  });
+  expect_degraded_rebuild(circuit, tb, dir,
+                          "malformed optimized-kernel section");
 }
 
 TEST(ArtifactCache, ForeignFingerprintDegradesToWarnedRebuild) {

@@ -192,9 +192,10 @@ TEST_P(CampaignBackendAgreement, RandomCircuitRandomFaults) {
                                         GetParam() + 17);
 
   SerialFaultSimulator serial(circuit, tb);
-  ParallelFaultSimulator comp64(circuit, tb,
-                                {LaneWidth::k64, /*num_threads=*/1});
-  ParallelFaultSimulator comp256(circuit, tb, {LaneWidth::k256, 1});
+  ParallelFaultSimulator comp64(
+      circuit, tb, {.lanes = LaneWidth::k64, .num_threads = 1});
+  ParallelFaultSimulator comp256(
+      circuit, tb, {.lanes = LaneWidth::k256, .num_threads = 1});
 
   const CampaignResult a = serial.run(faults);
   const CampaignResult b = comp64.run(faults);
@@ -214,19 +215,19 @@ TEST(CampaignShardingTest, ThreadedOutcomesIdenticalToSingleThreaded) {
   const auto faults = complete_fault_list(circuit.num_dffs(), tb.num_cycles());
 
   ParallelFaultSimulator single(
-      circuit, tb, {LaneWidth::k64, /*num_threads=*/1});
+      circuit, tb, {.lanes = LaneWidth::k64, .num_threads = 1});
   const CampaignResult base = single.run(faults);
 
   for (const unsigned threads : {2u, 4u, 7u}) {
     ParallelFaultSimulator sharded(
-        circuit, tb, {LaneWidth::k64, threads});
+        circuit, tb, {.lanes = LaneWidth::k64, .num_threads = threads});
     const CampaignResult got = sharded.run(faults);
     expect_same_outcomes(base, got, "threaded-64");
     EXPECT_EQ(single.last_run_eval_cycles(), sharded.last_run_eval_cycles());
   }
 
   ParallelFaultSimulator sharded256(
-      circuit, tb, {LaneWidth::k256, 4});
+      circuit, tb, {.lanes = LaneWidth::k256, .num_threads = 4});
   expect_same_outcomes(base, sharded256.run(faults), "threaded-256");
 }
 

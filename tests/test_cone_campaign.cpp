@@ -23,14 +23,18 @@ namespace {
 
 CampaignConfig cone_config(LaneWidth lanes = LaneWidth::k64,
                            unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = true,
+          .schedule = CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig full_config(LaneWidth lanes = LaneWidth::k64,
                            unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kCycleMajor};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = false,
+          .schedule = CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_outcomes(const CampaignResult& a, const CampaignResult& b,

@@ -247,9 +247,11 @@ TEST(KernelOptTest, RegistryCircuitsShrinkAndStayEquivalent) {
 
 CampaignConfig campaign_config(bool optimize_on, LaneWidth lanes,
                                bool cone, unsigned threads) {
-  CampaignConfig config{lanes, threads, cone,
-                        cone ? CampaignSchedule::kConeAffine
-                             : CampaignSchedule::kCycleMajor};
+  CampaignConfig config{.lanes = lanes,
+                        .num_threads = threads,
+                        .cone_restricted = cone,
+                        .schedule = cone ? CampaignSchedule::kConeAffine
+                                         : CampaignSchedule::kCycleMajor};
   config.optimize = optimize_on;
   return config;
 }

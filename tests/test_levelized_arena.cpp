@@ -2,22 +2,28 @@
 // the reordered sub-program must be a pure layout change — same instruction
 // multiset, strictly-ascending arena destinations, bit-identical lane states
 // against the unordered build on random circuits, including post-narrow_from
-// re-derivations and overlay-carrying (SET / stuck-at style) evaluation. The
+// re-derivations and overlay-carrying (SET / stuck-at style) evaluation, on
+// raw and optimized (complement-flagged) kernels. Every stream's op-run
+// table must partition it into maximal uniform runs (tests/op_runs.h). The
 // campaign engine always levelizes; the unordered build is the reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "circuits/generators.h"
+#include "circuits/registry.h"
 #include "netlist/fanout_cones.h"
+#include "op_runs.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden.h"
 #include "sim/golden_slots.h"
 #include "sim/golden_words.h"
+#include "sim/kernel_opt.h"
 #include "stim/generate.h"
 
 namespace femu {
@@ -33,6 +39,14 @@ Circuit random_circuit(std::uint64_t seed) {
   spec.num_dffs = 16;
   spec.num_gates = 160;
   return circuits::build_random(spec, seed);
+}
+
+// The raw kernel of `c` and its optimized twin (absorbed inverters become
+// complement flags, so the optimized streams carry negated runs).
+std::vector<std::shared_ptr<const CompiledKernel>> raw_and_optimized(
+    const Circuit& c) {
+  const auto raw = compile_kernel(c);
+  return {raw, optimize_kernel(raw, {})};
 }
 
 // Cone union of a handful of FFs — the shape a campaign group derives.
@@ -65,75 +79,72 @@ TEST(LevelizedArenaTest, LevelsAreTopological) {
 
 TEST(LevelizedArenaTest, ReorderIsAPermutationWithAscendingArenaDests) {
   const Circuit c = random_circuit(5);
-  const auto kernel = compile_kernel(c);
   const FanoutCones cones(c);
-  const auto levels = kernel->levels();
-  CompiledKernel::ConeSubProgram lev;
-  CompiledKernel::ConeSubProgram unlev;
-  for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
-    kernel->build_subprogram(cones.cone(ff), lev, nullptr, true);
-    kernel->build_subprogram(cones.cone(ff), unlev, nullptr, false);
+  for (const auto& kernel : raw_and_optimized(c)) {
+    expect_op_runs_valid(kernel->program(), kernel->program_runs());
+    CompiledKernel::ConeSubProgram lev;
+    CompiledKernel::ConeSubProgram unlev;
+    for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
+      kernel->build_subprogram(cones.cone(ff), lev, nullptr, true);
+      kernel->build_subprogram(cones.cone(ff), unlev, nullptr, false);
 
-    // Same instruction multiset (destinations are unique node ids, so the
-    // sorted global-dest sequences must match), same arena size, same
-    // boundary reads.
-    ASSERT_EQ(lev.instrs.size(), unlev.instrs.size());
-    EXPECT_EQ(lev.arena_slots, unlev.arena_slots);
-    std::vector<std::uint32_t> lev_dests;
-    std::vector<std::uint32_t> unlev_dests;
-    for (const auto& in : lev.instrs) {
-      lev_dests.push_back(lev.global_of_local[in.dest]);
-    }
-    for (const auto& in : unlev.instrs) {
-      unlev_dests.push_back(unlev.global_of_local[in.dest]);
-    }
-    auto sorted_lev = lev_dests;
-    std::sort(sorted_lev.begin(), sorted_lev.end());
-    std::sort(unlev_dests.begin(), unlev_dests.end());
-    EXPECT_EQ(sorted_lev, unlev_dests);
-
-    // The levelized stream is ordered by (level, node id) ...
-    for (std::size_t i = 1; i < lev_dests.size(); ++i) {
-      const auto key = [&](std::uint32_t d) {
-        return std::pair{levels[d], d};
-      };
-      EXPECT_LT(key(lev_dests[i - 1]), key(lev_dests[i]));
-    }
-    // ... and arena destinations stay strictly ascending in both builds
-    // (the overlay-merge invariant).
-    for (const auto* sp : {&lev, &unlev}) {
-      for (std::size_t i = 1; i < sp->instrs.size(); ++i) {
-        EXPECT_GT(sp->instrs[i].dest, sp->instrs[i - 1].dest);
+      // Same instruction multiset (destinations are unique node ids, so the
+      // sorted global-dest sequences must match), same arena size, same
+      // boundary reads.
+      ASSERT_EQ(lev.instrs.size(), unlev.instrs.size());
+      EXPECT_EQ(lev.arena_slots, unlev.arena_slots);
+      std::vector<std::uint32_t> lev_dests;
+      std::vector<std::uint32_t> unlev_dests;
+      for (const auto& in : lev.instrs) {
+        lev_dests.push_back(lev.global_of_local[in.dest]);
       }
-    }
-    // Operands always read slots already materialised: loaded leading block
-    // or an earlier instruction's destination.
-    for (std::size_t i = 0; i < lev.instrs.size(); ++i) {
-      EXPECT_LT(lev.instrs[i].a, lev.instrs[i].dest);
-      EXPECT_LT(lev.instrs[i].b, lev.instrs[i].dest);
-      EXPECT_LT(lev.instrs[i].c, lev.instrs[i].dest);
+      for (const auto& in : unlev.instrs) {
+        unlev_dests.push_back(unlev.global_of_local[in.dest]);
+      }
+      std::sort(lev_dests.begin(), lev_dests.end());
+      std::sort(unlev_dests.begin(), unlev_dests.end());
+      EXPECT_EQ(lev_dests, unlev_dests);
+
+      // The levelized stream is ordered by (level, op, neg != 0, node id)
+      // ...
+      expect_levelized_order(*kernel, lev);
+      // ... and arena destinations stay strictly ascending in both builds
+      // (the overlay-merge invariant), and both carry a valid run table.
+      for (const auto* sp : {&lev, &unlev}) {
+        for (std::size_t i = 1; i < sp->instrs.size(); ++i) {
+          EXPECT_GT(sp->instrs[i].dest, sp->instrs[i - 1].dest);
+        }
+        expect_op_runs_valid(sp->instrs, sp->runs);
+      }
+      // Operands always read slots already materialised: loaded leading
+      // block or an earlier instruction's destination.
+      for (std::size_t i = 0; i < lev.instrs.size(); ++i) {
+        EXPECT_LT(lev.instrs[i].a, lev.instrs[i].dest);
+        EXPECT_LT(lev.instrs[i].b, lev.instrs[i].dest);
+        EXPECT_LT(lev.instrs[i].c, lev.instrs[i].dest);
+      }
     }
   }
 }
 
-TEST(LevelizedArenaTest, NarrowFromLevelizedMatchesFreshLevelizedBuild) {
-  // A narrowing derivation inherits the source's order; since a subsequence
-  // of a (level, node id)-sorted stream is still sorted by that key, the
-  // narrowed sub-program must be structurally identical to a fresh levelized
-  // build of the subset mask.
-  const Circuit c = random_circuit(7);
-  const auto kernel = compile_kernel(c);
-  const FanoutCones cones(c);
-  const std::vector<std::size_t> group_ffs = {0, 3, 7, 11};
+// A narrowing derivation inherits the source's order; since a subsequence of
+// a (level, op, neg != 0, node id)-sorted stream is still sorted by that key,
+// the narrowed sub-program must be structurally identical to a fresh
+// levelized build of the subset mask — run table included.
+void expect_narrowed_equals_fresh(const CompiledKernel& kernel,
+                                  const FanoutCones& cones,
+                                  std::span<const std::size_t> group_ffs) {
   const auto full_mask = union_mask(cones, group_ffs);
   CompiledKernel::ConeSubProgram full;
-  kernel->build_subprogram(full_mask, full, nullptr, true);
+  kernel.build_subprogram(full_mask, full, nullptr, true);
+  expect_levelized_order(kernel, full);
+  expect_op_runs_valid(full.instrs, full.runs);
 
   for (const std::size_t ff : group_ffs) {
     CompiledKernel::ConeSubProgram narrowed;
-    kernel->build_subprogram(cones.cone(ff), narrowed, &full, true);
+    kernel.build_subprogram(cones.cone(ff), narrowed, &full, true);
     CompiledKernel::ConeSubProgram fresh;
-    kernel->build_subprogram(cones.cone(ff), fresh, nullptr, true);
+    kernel.build_subprogram(cones.cone(ff), fresh, nullptr, true);
 
     ASSERT_EQ(narrowed.instrs.size(), fresh.instrs.size());
     EXPECT_EQ(narrowed.arena_slots, fresh.arena_slots);
@@ -141,6 +152,15 @@ TEST(LevelizedArenaTest, NarrowFromLevelizedMatchesFreshLevelizedBuild) {
       EXPECT_EQ(narrowed.global_of_local[narrowed.instrs[i].dest],
                 fresh.global_of_local[fresh.instrs[i].dest]);
       EXPECT_EQ(narrowed.instrs[i].op, fresh.instrs[i].op);
+      EXPECT_EQ(narrowed.instrs[i].neg, fresh.instrs[i].neg);
+    }
+    expect_levelized_order(kernel, narrowed);
+    expect_op_runs_valid(narrowed.instrs, narrowed.runs);
+    ASSERT_EQ(narrowed.runs.size(), fresh.runs.size());
+    for (std::size_t k = 0; k < fresh.runs.size(); ++k) {
+      EXPECT_EQ(narrowed.runs[k].end, fresh.runs[k].end) << "run " << k;
+      EXPECT_EQ(narrowed.runs[k].op, fresh.runs[k].op) << "run " << k;
+      EXPECT_EQ(narrowed.runs[k].negated, fresh.runs[k].negated) << "run " << k;
     }
     // Boundary slots are discovered during pass 1 (pre-sort stream order on
     // a fresh build, sorted order on a narrowing one) — same set, order may
@@ -155,16 +175,47 @@ TEST(LevelizedArenaTest, NarrowFromLevelizedMatchesFreshLevelizedBuild) {
   }
 }
 
+TEST(LevelizedArenaTest, NarrowFromLevelizedMatchesFreshLevelizedBuild) {
+  const Circuit c = random_circuit(7);
+  const FanoutCones cones(c);
+  for (const auto& kernel : raw_and_optimized(c)) {
+    expect_narrowed_equals_fresh(*kernel, cones,
+                                 std::vector<std::size_t>{0, 3, 7, 11});
+  }
+}
+
+TEST(LevelizedArenaTest, RunTablesHoldOnB14FullAndConePrograms) {
+  const Circuit c = circuits::build_by_name("b14");
+  const FanoutCones cones(c);
+  for (const auto& kernel : raw_and_optimized(c)) {
+    expect_op_runs_valid(kernel->program(), kernel->program_runs());
+    CompiledKernel::ConeSubProgram sp;
+    for (std::size_t ff = 0; ff < cones.num_ffs(); ++ff) {
+      kernel->build_subprogram(cones.cone(ff), sp);
+      expect_levelized_order(*kernel, sp);
+      expect_op_runs_valid(sp.instrs, sp.runs);
+    }
+    // Narrowing out of 64-FF group unions, the campaign's group shape.
+    for (std::size_t first = 0; first + 64 <= cones.num_ffs(); first += 64) {
+      std::vector<std::size_t> group(64);
+      for (std::size_t k = 0; k < group.size(); ++k) group[k] = first + k;
+      expect_narrowed_equals_fresh(*kernel, cones, group);
+    }
+  }
+}
+
 // ---- bit-identical lane states ---------------------------------------------
 
 // Drives two 64-lane engines over the same cone sub-program — one levelized,
 // one not — with divergent lanes seeded by FF flips and (optionally) a
 // per-cycle XOR/force overlay, asserting identical mismatch words and
-// identical per-FF lane state every cycle.
+// identical per-FF lane state every cycle. `optimized` runs both on the
+// optimized kernel, whose streams carry negated runs.
 void drive_and_compare(const Circuit& c, const Testbench& tb,
                        std::span<const std::size_t> group_ffs,
-                       bool with_overlay, bool force_overlay) {
-  const auto kernel = compile_kernel(c);
+                       bool with_overlay, bool force_overlay,
+                       bool optimized = false) {
+  const auto kernel = raw_and_optimized(c)[optimized ? 1 : 0];
   const FanoutCones cones(c);
   const auto mask = union_mask(cones, group_ffs);
   const GoldenSlotTrace slots = capture_golden_slots(*kernel, tb.vectors());
@@ -265,6 +316,19 @@ TEST(LevelizedArenaTest, LaneStatesBitIdenticalWithForceOverlay) {
   const Testbench tb = random_testbench(c.num_inputs(), 24, 24);
   drive_and_compare(c, tb, std::vector<std::size_t>{0, 3, 8},
                     /*with_overlay=*/true, /*force_overlay=*/true);
+}
+
+TEST(LevelizedArenaTest, LaneStatesBitIdenticalOnOptimizedKernels) {
+  for (const std::uint64_t seed : {31u, 32u}) {
+    const Circuit c = random_circuit(seed);
+    const Testbench tb = random_testbench(c.num_inputs(), 24, seed);
+    drive_and_compare(c, tb, std::vector<std::size_t>{0, 2, 5, 9},
+                      /*with_overlay=*/false, /*force_overlay=*/false,
+                      /*optimized=*/true);
+    drive_and_compare(c, tb, std::vector<std::size_t>{1, 4, 6},
+                      /*with_overlay=*/true, /*force_overlay=*/(seed & 1) != 0,
+                      /*optimized=*/true);
+  }
 }
 
 }  // namespace

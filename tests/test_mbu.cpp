@@ -240,9 +240,11 @@ TEST(MbuUnifiedEngineTest, MatchesDedicatedMbuSimulatorEverywhere) {
   for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256}) {
     for (const bool cone : {false, true}) {
       for (const unsigned threads : {1u, 4u}) {
-        check({lanes, threads, cone,
-               cone ? CampaignSchedule::kConeAffine
-                    : CampaignSchedule::kCycleMajor},
+        check({.lanes = lanes,
+               .num_threads = threads,
+               .cone_restricted = cone,
+               .schedule = cone ? CampaignSchedule::kConeAffine
+                                : CampaignSchedule::kCycleMajor},
               cone ? "compiled-cone" : "compiled-full");
       }
     }

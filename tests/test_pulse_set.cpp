@@ -46,14 +46,18 @@ void pulse_cross_check(const Circuit& circuit, const Testbench& tb,
        {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
     ParallelFaultSimulator full(
         circuit, tb,
-        CampaignConfig{lanes, 1, /*cone_restricted=*/false,
-                       CampaignSchedule::kCycleMajor});
+        CampaignConfig{.lanes = lanes,
+                       .num_threads = 1,
+                       .cone_restricted = false,
+                       .schedule = CampaignSchedule::kCycleMajor});
     expect_same_outcomes(ref, full.run_set(faults), label);
     for (const unsigned threads : {1u, 4u}) {
       ParallelFaultSimulator cone(
           circuit, tb,
-          CampaignConfig{lanes, threads, /*cone_restricted=*/true,
-                         CampaignSchedule::kConeAffine});
+          CampaignConfig{.lanes = lanes,
+                         .num_threads = threads,
+                         .cone_restricted = true,
+                         .schedule = CampaignSchedule::kConeAffine});
       expect_same_outcomes(ref, cone.run_set(faults), label);
     }
   }
@@ -158,8 +162,10 @@ TEST(PulseWidthTest, LatchingProbabilityMatchesWidthOnProbeCircuit) {
   const SetSites sites(c);
   ParallelFaultSimulator sim(
       c, tb,
-      CampaignConfig{LaneWidth::k256, 2,
-                     /*cone_restricted=*/true, CampaignSchedule::kConeAffine});
+      CampaignConfig{.lanes = LaneWidth::k256,
+                     .num_threads = 2,
+                     .cone_restricted = true,
+                     .schedule = CampaignSchedule::kConeAffine});
   for (const std::uint16_t q :
        {std::uint16_t{64}, std::uint16_t{128}, std::uint16_t{208}}) {
     const auto faults =

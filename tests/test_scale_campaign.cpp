@@ -20,8 +20,10 @@ namespace femu {
 namespace {
 
 CampaignConfig scale_config(LaneWidth lanes, unsigned threads) {
-  return {lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = true,
+          .schedule = CampaignSchedule::kConeAffine};
 }
 
 TEST(ScaleCampaignSlowTest, Pipeline50kGateCompleteSeuCampaign) {

@@ -27,14 +27,18 @@ namespace {
 
 CampaignConfig set_cone_config(LaneWidth lanes = LaneWidth::k64,
                                unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = true,
+          .schedule = CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig set_full_config(LaneWidth lanes = LaneWidth::k64,
                                unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kCycleMajor};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = false,
+          .schedule = CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_set_outcomes(const SetCampaignResult& a,

@@ -30,14 +30,18 @@ namespace {
 
 CampaignConfig stuckat_cone_config(LaneWidth lanes = LaneWidth::k64,
                                    unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/true,
-          CampaignSchedule::kConeAffine};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = true,
+          .schedule = CampaignSchedule::kConeAffine};
 }
 
 CampaignConfig stuckat_full_config(LaneWidth lanes = LaneWidth::k64,
                                    unsigned threads = 1) {
-  return {lanes, threads, /*cone_restricted=*/false,
-          CampaignSchedule::kCycleMajor};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = false,
+          .schedule = CampaignSchedule::kCycleMajor};
 }
 
 void expect_same_stuckat_outcomes(const StuckAtCampaignResult& a,

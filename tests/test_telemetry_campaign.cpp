@@ -39,8 +39,10 @@ Circuit medium_random_circuit(std::uint64_t seed = 7) {
 
 CampaignConfig cone_config(LaneWidth lanes, unsigned threads,
                            obs::TelemetryCollector* telemetry = nullptr) {
-  CampaignConfig config{lanes, threads, /*cone_restricted=*/true,
-                        CampaignSchedule::kConeAffine};
+  CampaignConfig config{.lanes = lanes,
+                        .num_threads = threads,
+                        .cone_restricted = true,
+                        .schedule = CampaignSchedule::kConeAffine};
   config.telemetry = telemetry;
   return config;
 }

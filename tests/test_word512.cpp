@@ -27,8 +27,10 @@ using T512 = LaneTraits<Word512>;
 CampaignConfig config_of(LaneWidth lanes, bool cone, unsigned threads = 1,
                          CampaignSchedule schedule =
                              CampaignSchedule::kConeAffine) {
-  return {lanes, threads, cone,
-          cone ? schedule : CampaignSchedule::kCycleMajor};
+  return {.lanes = lanes,
+          .num_threads = threads,
+          .cone_restricted = cone,
+          .schedule = cone ? schedule : CampaignSchedule::kCycleMajor};
 }
 
 // ---- lane traits -----------------------------------------------------------
