@@ -46,17 +46,13 @@
 // cross-check covers the pair like any other twin.
 //
 // Usage: engine_throughput [--cycles N] [--repeat N] [--out FILE]
-//                          [--bench-index N] [--baseline FILE]
-//                          [--bench-file FILE]
+//                          [--bench-index N] [--bench-file FILE]
 //   --cycles N       b14 testbench length (default 160, the paper's vector
 //                    count; pipeline circuits use min(N, 48) vectors)
 //   --repeat N       timed repetitions per config, best-of (default 3)
 //   --out FILE       write the JSON to FILE instead of stdout
 //   --bench-index N  write the JSON to BENCH_<N>.json — the stable name CI
-//                    uses so the perf trajectory accumulates across PRs
-//   --baseline FILE  previous BENCH_*.json to compare against; regressions
-//                    >10% on matching "<circuit>/<config>" names print a
-//                    warning but do NOT fail the process (soft-fail check)
+//                    uploads as the run's artifact
 //   --bench-file FILE
 //                    additionally run an external ISCAS-89 .bench netlist
 //                    through the cone-engine ladder (complete SEU campaign,
@@ -245,29 +241,6 @@ void write_json(std::ostream& out, const std::vector<BenchResult>& results,
   out << "}\n";
 }
 
-/// Pulls "name": <string> / "faults_per_sec": <number> pairs out of a
-/// previous BENCH_*.json without a JSON library — the bench emits one engine
-/// object per line, so a line-oriented scan is exact for our own output.
-std::vector<std::pair<std::string, double>> read_baseline(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> entries;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto name_pos = line.find("\"name\": \"");
-    const auto fps_pos = line.find("\"faults_per_sec\": ");
-    if (name_pos == std::string::npos || fps_pos == std::string::npos) {
-      continue;
-    }
-    const auto name_begin = name_pos + 9;
-    const auto name_end = line.find('"', name_begin);
-    const std::string name = line.substr(name_begin, name_end - name_begin);
-    const double fps = std::strtod(line.c_str() + fps_pos + 18, nullptr);
-    entries.emplace_back(name, fps);
-  }
-  return entries;
-}
-
 CampaignConfig full_config(LaneWidth w, unsigned threads) {
   return {.lanes = w,
           .num_threads = threads,
@@ -419,7 +392,6 @@ int main(int argc, char** argv) {
   std::size_t cycles = 160;
   int repeat = 3;
   std::string out_path;
-  std::string baseline_path;
   std::string bench_file;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc) {
@@ -430,14 +402,11 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--bench-index") == 0 && i + 1 < argc) {
       out_path = std::string("BENCH_") + argv[++i] + ".json";
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--bench-file") == 0 && i + 1 < argc) {
       bench_file = argv[++i];
     } else {
       std::cerr << "usage: engine_throughput [--cycles N] [--repeat N]"
-                   " [--out FILE] [--bench-index N] [--baseline FILE]"
-                   " [--bench-file FILE]\n";
+                   " [--out FILE] [--bench-index N] [--bench-file FILE]\n";
       return 2;
     }
   }
@@ -628,43 +597,6 @@ int main(int argc, char** argv) {
     write_json(out, results, circuit_summaries, identical, cone_speedup_64,
                set_cone64, set_full64);
     std::cerr << "wrote " << out_path << "\n";
-  }
-
-  // Soft-fail regression check: compare against a previous BENCH_*.json by
-  // "<circuit>/<config>" name. Warn-only — machine noise must not break CI;
-  // the warning plus the accumulated artifacts give the trajectory
-  // reviewers the signal.
-  if (!baseline_path.empty()) {
-    const auto baseline = read_baseline(baseline_path);
-    if (baseline.empty()) {
-      std::cerr << "baseline " << baseline_path
-                << " has no engine entries — skipping regression check\n";
-    }
-    for (const auto& [name, prev_fps] : baseline) {
-      bool matched = false;
-      for (const BenchResult& r : results) {
-        if (name != r.name) continue;
-        matched = true;
-        if (prev_fps <= 0.0) {
-          std::cerr << "NOTE: baseline config \"" << name
-                    << "\" has a non-positive faults_per_sec — comparison "
-                       "skipped\n";
-          break;
-        }
-        const double ratio = r.faults_per_sec() / prev_fps;
-        if (ratio < 0.9) {
-          std::cerr << "WARNING: " << name << " regressed to " << ratio
-                    << "x of baseline (" << r.faults_per_sec() << " vs "
-                    << prev_fps << " faults/s)\n";
-        }
-      }
-      // Renamed/retired configs must be loud, not silently uncompared —
-      // otherwise a rename would blind the whole regression check.
-      if (!matched) {
-        std::cerr << "NOTE: baseline config \"" << name
-                  << "\" has no current counterpart — comparison skipped\n";
-      }
-    }
   }
 
   if (!identical) {

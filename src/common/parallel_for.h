@@ -9,15 +9,13 @@
 
 namespace femu {
 
-/// Deterministic index-range fan-out for one-time construction work.
+/// Deterministic index-range fan-out for one-time work outside the campaign
+/// sharder (engine construction itself is serial and does not use it).
 ///
 /// Splits [0, n) into at most `num_threads` contiguous ranges and runs
-/// `fn(begin, end)` on each, the first range on the calling thread. This is
-/// the construction-side analogue of the campaign sharder: callers guarantee
-/// every range writes a disjoint slice of the output (per-FF cone rows,
-/// per-cycle trace snapshots, per-cycle word-image blocks), so the result is
-/// bit-identical to the serial loop for any thread count — parallelism here
-/// is purely a latency knob, never an outcome knob.
+/// `fn(begin, end)` on each, the first range on the calling thread. Callers
+/// guarantee every range writes a disjoint slice of the output, so the
+/// result is bit-identical to the serial loop for any thread count.
 ///
 /// `num_threads == 0` means std::thread::hardware_concurrency(); 1 runs the
 /// plain loop with no thread spawned. The first exception thrown by any

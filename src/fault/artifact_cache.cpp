@@ -573,13 +573,15 @@ ArtifactStoreResult store_artifacts(const std::string& dir,
               static_cast<std::streamsize>(payload.size()));
     out.write(reinterpret_cast<const char*>(&digest), sizeof digest);
     out.flush();
-    if (!out) {
-      res.detail = "short write to " + tmp;
-      return res;
-    }
+    if (!out) res.detail = "short write to " + tmp;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (res.detail.empty() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     res.detail = "rename " + tmp + " -> " + path + " failed";
+  }
+  if (!res.detail.empty()) {
+    // A failed store leaves no partial file behind (nothing ever reads a
+    // .tmp, so one left over would only take up disk space).
+    std::filesystem::remove(tmp, ec);
     return res;
   }
   res.stored = true;

@@ -163,7 +163,7 @@ struct ArtifactStoreResult {
 
 /// Serializes `view` to `dir` (created if missing) under `key`'s file name
 /// via tmp + atomic rename. I/O failure degrades to stored=false + detail —
-/// a cache store must never fail a campaign.
+/// a cache store must never fail a campaign — and removes the tmp file.
 [[nodiscard]] ArtifactStoreResult store_artifacts(const std::string& dir,
                                                   const ArtifactCacheKey& key,
                                                   const ArtifactStoreView& view);

@@ -138,10 +138,10 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
   const bool cones_for_eval = config_.cone_restricted;
   const bool need_cones =
       cones_for_eval || config_.schedule == CampaignSchedule::kConeAffine;
-  // Construction parallelism follows the campaign worker count (0 = all
-  // hardware threads); the parallel builders are bit-identical to their
-  // serial forms for any thread count, so this is a latency knob only.
-  const unsigned build_threads = config_.num_threads;
+  // Construction is serial: every builder runs on this thread with its
+  // default of one build thread. Each setup structure is sub-millisecond
+  // work on the benchmark circuits, so spawning and joining threads per
+  // builder cost more than it saved; num_threads shards grading only.
 
   // ---- artifact cache probe ----
   // One lookup per construction: a hit supplies every artifact the resolved
@@ -206,7 +206,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
     // and (when cone restriction needs them) the full slot snapshots —
     // instead of two full passes over the vector set.
     GoldenCapture cap =
-        capture_golden_unified(*kernel_, testbench.vectors(), build_threads,
+        capture_golden_unified(*kernel_, testbench.vectors(),
                                cones_for_eval && !have_slots);
     if (!have_golden) golden_ = std::move(cap.trace);
     if (cones_for_eval && !have_slots) slot_trace_ = std::move(cap.slots);
@@ -236,13 +236,13 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
         // circuit size. The labels are kept so a later site-keyed campaign's
         // site ranking reuses them instead of repeating the sweep.
         if (oracle_ == nullptr) {
-          oracle_ = std::make_unique<ConeOracle>(circuit, build_threads);
+          oracle_ = std::make_unique<ConeOracle>(circuit);
         }
         if (next_ff_labels_.empty()) next_ff_labels_ = next_ff_labels(circuit);
         order = cone_affine_ff_order_anchor(circuit, next_ff_labels_);
       } else {
         if (cones_ == nullptr) {
-          cones_ = std::make_unique<FanoutCones>(circuit, build_threads);
+          cones_ = std::make_unique<FanoutCones>(circuit);
         }
         order = cone_affine_ff_order(*cones_, lane_count(config_.lanes));
       }
@@ -301,8 +301,7 @@ ParallelFaultSimulator::ParallelFaultSimulator(const Circuit& circuit,
     obs::PhaseSpan span(config_.telemetry, "word_image");
     WallTimer timer;
     with_lane_word(config_.lanes, [&]<typename Word>() {
-      image_.emplace<GoldenWordImage<Word>>(golden_, testbench.vectors(),
-                                            config_.num_threads);
+      image_.emplace<GoldenWordImage<Word>>(golden_, testbench.vectors());
     });
     telem_.golden_seconds += timer.elapsed_seconds();
   }

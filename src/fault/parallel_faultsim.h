@@ -78,6 +78,8 @@ struct CampaignConfig {
   /// Faulty machines per lane group.
   LaneWidth lanes = LaneWidth::k64;
   /// Worker threads for group sharding; 0 = std::thread::hardware_concurrency().
+  /// Grading only: engine construction (golden capture, cones, word images)
+  /// always runs serially on the constructing thread.
   unsigned num_threads = 0;
   /// Evaluate only the per-group union of injected-FF fanout cones against
   /// the golden baseline; false evaluates the whole program every cycle.

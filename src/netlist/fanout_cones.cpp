@@ -4,11 +4,9 @@
 #include <bit>
 #include <limits>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
-#include "common/parallel_for.h"
 
 namespace femu {
 
@@ -55,85 +53,6 @@ void build_reachability_csr(const Circuit& circuit, ForwardCsr& csr) {
   });
 }
 
-/// Parallel build_reachability_csr, bit-identical to the serial build for
-/// any thread count. The comb-edge enumeration shards into contiguous
-/// consumer-id ranges; each shard counts its edges per *source* node, then
-/// per-shard fill cursors are carved deterministically out of the global
-/// offsets (shard r's edges from source v land after shards < r's), which
-/// reproduces the serial adjacency order exactly: for every source,
-/// combinational consumers ascending by node id, then the sequential
-/// D-driver -> DFF-Q edges in FF order (filled serially at the end).
-void build_reachability_csr(const Circuit& circuit, ForwardCsr& csr,
-                            unsigned build_threads) {
-  const std::size_t num_nodes = circuit.node_count();
-  std::size_t threads = build_threads == 0
-                            ? std::thread::hardware_concurrency()
-                            : build_threads;
-  threads = std::clamp<std::size_t>(threads, 1, num_nodes == 0 ? 1 : num_nodes);
-  if (threads == 1) {
-    build_reachability_csr(circuit, csr);
-    return;
-  }
-  const std::vector<NodeId> drivers = circuit.dff_drivers();
-  const std::size_t shards = threads;
-  const std::size_t chunk = (num_nodes + shards - 1) / shards;
-  std::vector<std::vector<std::uint32_t>> counts(
-      shards, std::vector<std::uint32_t>(num_nodes, 0));
-  const unsigned shard_threads = static_cast<unsigned>(shards);
-  parallel_for_ranges(shards, shard_threads,
-                      [&](std::size_t rb, std::size_t re) {
-                        for (std::size_t r = rb; r < re; ++r) {
-                          const std::size_t id_begin = r * chunk;
-                          const std::size_t id_end =
-                              std::min(num_nodes, id_begin + chunk);
-                          std::vector<std::uint32_t>& local = counts[r];
-                          for (NodeId id = static_cast<NodeId>(id_begin);
-                               id < id_end; ++id) {
-                            for (const NodeId f : circuit.fanins(id)) {
-                              ++local[f];
-                            }
-                          }
-                        }
-                      });
-
-  csr.head.assign(num_nodes + 1, 0);
-  for (const std::vector<std::uint32_t>& local : counts) {
-    for (std::size_t v = 0; v < num_nodes; ++v) csr.head[v + 1] += local[v];
-  }
-  for (const NodeId d : drivers) ++csr.head[d + 1];
-  for (std::size_t v = 1; v <= num_nodes; ++v) csr.head[v] += csr.head[v - 1];
-  csr.adj.resize(csr.head[num_nodes]);
-
-  // Carve per-shard fill cursors out of the global offsets; after this loop
-  // `cursor[v]` points at source v's first sequential-edge slot.
-  std::vector<std::uint32_t> cursor(csr.head.begin(), csr.head.end() - 1);
-  for (std::vector<std::uint32_t>& local : counts) {
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      const std::uint32_t shard_edges = local[v];
-      local[v] = cursor[v];
-      cursor[v] += shard_edges;
-    }
-  }
-  parallel_for_ranges(shards, shard_threads,
-                      [&](std::size_t rb, std::size_t re) {
-                        for (std::size_t r = rb; r < re; ++r) {
-                          const std::size_t id_begin = r * chunk;
-                          const std::size_t id_end =
-                              std::min(num_nodes, id_begin + chunk);
-                          std::vector<std::uint32_t>& fill = counts[r];
-                          for (NodeId id = static_cast<NodeId>(id_begin);
-                               id < id_end; ++id) {
-                            for (const NodeId f : circuit.fanins(id)) {
-                              csr.adj[fill[f]++] = id;
-                            }
-                          }
-                        }
-                      });
-  for (std::size_t i = 0; i < drivers.size(); ++i) {
-    csr.adj[cursor[drivers[i]]++] = circuit.dffs()[i];
-  }
-}
-
 /// Combinational gates inside `mask` — wordwise popcount against the
 /// comb-node bitset.
 std::size_t count_cone_gates(std::span<const std::uint64_t> mask,
@@ -147,7 +66,10 @@ std::size_t count_cone_gates(std::span<const std::uint64_t> mask,
 
 }  // namespace
 
-FanoutCones::FanoutCones(const Circuit& circuit, unsigned build_threads)
+// build_threads is accepted and ignored: construction is serial (ROADMAP
+// item 2(b) drops the parameter).
+FanoutCones::FanoutCones(const Circuit& circuit,
+                         [[maybe_unused]] unsigned build_threads)
     : num_ffs_(circuit.num_dffs()),
       num_nodes_(circuit.node_count()),
       words_per_cone_((circuit.node_count() + 63) / 64),
@@ -156,7 +78,7 @@ FanoutCones::FanoutCones(const Circuit& circuit, unsigned build_threads)
   circuit.validate();
 
   ForwardCsr csr;
-  build_reachability_csr(circuit, csr, build_threads);
+  build_reachability_csr(circuit, csr);
   const std::vector<std::uint32_t>& head = csr.head;
   const std::vector<std::uint32_t>& adj = csr.adj;
 
@@ -167,32 +89,27 @@ FanoutCones::FanoutCones(const Circuit& circuit, unsigned build_threads)
     if (is_comb_cell(circuit.type(id))) set_bit(comb, id);
   }
 
-  // Every FF's closure DFS writes a disjoint bitset row, so the per-FF loop
-  // shards across build threads with per-range scratch stacks — same bits
-  // for any thread count.
-  parallel_for_ranges(
-      num_ffs_, build_threads, [&](std::size_t begin, std::size_t end) {
-        std::vector<std::uint32_t> stack;
-        for (std::size_t ff = begin; ff < end; ++ff) {
-          const auto mask = std::span<std::uint64_t>(bits_).subspan(
-              ff * words_per_cone_, words_per_cone_);
-          const NodeId root = circuit.dffs()[ff];
-          set_bit(mask, root);
-          stack.assign(1, root);
-          while (!stack.empty()) {
-            const std::uint32_t v = stack.back();
-            stack.pop_back();
-            for (std::uint32_t e = head[v]; e < head[v + 1]; ++e) {
-              const std::uint32_t w = adj[e];
-              if (!test(mask, w)) {
-                set_bit(mask, w);
-                stack.push_back(w);
-              }
-            }
-          }
-          cone_gates_[ff] = count_cone_gates(mask, comb);
+  // One closure DFS per FF, each writing its own bitset row.
+  std::vector<std::uint32_t> stack;
+  for (std::size_t ff = 0; ff < num_ffs_; ++ff) {
+    const auto mask = std::span<std::uint64_t>(bits_).subspan(
+        ff * words_per_cone_, words_per_cone_);
+    const NodeId root = circuit.dffs()[ff];
+    set_bit(mask, root);
+    stack.assign(1, root);
+    while (!stack.empty()) {
+      const std::uint32_t v = stack.back();
+      stack.pop_back();
+      for (std::uint32_t e = head[v]; e < head[v + 1]; ++e) {
+        const std::uint32_t w = adj[e];
+        if (!test(mask, w)) {
+          set_bit(mask, w);
+          stack.push_back(w);
         }
-      });
+      }
+    }
+    cone_gates_[ff] = count_cone_gates(mask, comb);
+  }
 }
 
 void FanoutCones::union_into(std::span<std::uint64_t> dst,
@@ -267,7 +184,9 @@ void GateCones::union_into(std::span<std::uint64_t> dst,
   for (std::size_t w = 0; w < words_per_cone_; ++w) dst[w] |= src[w];
 }
 
-ConeOracle::ConeOracle(const Circuit& circuit, unsigned build_threads)
+// build_threads is ignored, as in FanoutCones.
+ConeOracle::ConeOracle(const Circuit& circuit,
+                       [[maybe_unused]] unsigned build_threads)
     : num_ffs_(circuit.num_dffs()),
       num_nodes_(circuit.node_count()),
       words_per_cone_((circuit.node_count() + 63) / 64),
@@ -277,7 +196,7 @@ ConeOracle::ConeOracle(const Circuit& circuit, unsigned build_threads)
   // shared definition), so reachability from any root is bit-identical to
   // the eager builders' cones.
   ForwardCsr csr;
-  build_reachability_csr(circuit, csr, build_threads);
+  build_reachability_csr(circuit, csr);
   head_ = std::move(csr.head);
   adj_ = std::move(csr.adj);
 }

@@ -26,9 +26,8 @@ struct ArtifactCacheAccess;
 /// per circuit — O(FFs x edges) worst case, negligible next to any campaign.
 class FanoutCones {
  public:
-  /// `build_threads` shards the per-FF closure DFS (each FF writes a
-  /// disjoint bitset row, so the result is bit-identical to the serial
-  /// build for any thread count); 0 = hardware concurrency, 1 = serial.
+  /// Builds serially; `build_threads` is accepted and ignored until the
+  /// callers that still pass it are gone (ROADMAP item 2(b)).
   explicit FanoutCones(const Circuit& circuit, unsigned build_threads = 1);
 
   [[nodiscard]] std::size_t num_ffs() const noexcept { return num_ffs_; }
@@ -153,9 +152,8 @@ class GateCones {
 /// which is what keeps per-union DFS cost off the per-group hot path.
 class ConeOracle {
  public:
-  /// `build_threads` shards the CSR fill (deterministic per-thread offset
-  /// carving keeps the adjacency order identical to the serial build);
-  /// 0 = hardware concurrency, 1 = serial.
+  /// Builds serially; `build_threads` is accepted and ignored until the
+  /// callers that still pass it are gone (ROADMAP item 2(b)).
   explicit ConeOracle(const Circuit& circuit, unsigned build_threads = 1);
 
   [[nodiscard]] std::size_t num_ffs() const noexcept { return num_ffs_; }

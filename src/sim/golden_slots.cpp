@@ -1,12 +1,24 @@
 #include "sim/golden_slots.h"
 
 #include <cstddef>
-#include <thread>
-
-#include "common/parallel_for.h"
+#include <cstdint>
 
 namespace femu {
 namespace {
+
+/// Bit i of the result is set iff byte i of `bytes[0..8)` is nonzero. The
+/// bytes are assembled by shifts, so the result does not depend on the
+/// host's byte order; the multiply gathers the eight per-byte flags into
+/// the top byte.
+[[nodiscard]] std::uint64_t nonzero_byte_bits(const Word8* bytes) {
+  std::uint64_t x = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    x |= std::uint64_t{bytes[i]} << (8 * i);
+  }
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  const std::uint64_t high = (((x & kLow7) + kLow7) | x) & ~kLow7;
+  return ((high >> 7) * 0x0102040810204080ULL) >> 56;
+}
 
 /// One fault-free cycle on the scalar (Word8) machine: load vector + state,
 /// settle, extract. Shared by every golden capture below so all views of the
@@ -16,16 +28,11 @@ struct ScalarGoldenMachine {
   const CompiledKernel& kernel;
   std::vector<Word8> values;
   std::vector<Word8> state;
+  std::vector<std::uint64_t> packed;  // snapshot_slots scratch
 
   explicit ScalarGoldenMachine(const CompiledKernel& k)
       : kernel(k), values(k.num_slots()), state(k.dff_slots().size(), 0) {
     kernel.init(std::span<Word8>(values));
-  }
-
-  void seed_state(const BitVec& bits) {
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      state[i] = LaneTraits<Word8>::broadcast(bits.get(i));
-    }
   }
 
   void settle(const BitVec& vector) {
@@ -47,11 +54,21 @@ struct ScalarGoldenMachine {
     }
   }
 
-  [[nodiscard]] BitVec snapshot_slots() const {
-    BitVec snapshot(kernel.num_slots());
-    for (std::size_t s = 0; s < values.size(); ++s) {
-      snapshot.set(s, values[s] != 0);
+  /// Packs every settled slot into a BitVec, 64 slots per word: each slot
+  /// is one byte, so eight slots fold into eight bits at once, and the
+  /// words land in the BitVec in one bulk copy.
+  [[nodiscard]] BitVec snapshot_slots() {
+    const std::size_t n = values.size();
+    packed.assign((n + BitVec::kWordBits - 1) / BitVec::kWordBits, 0);
+    std::size_t s = 0;
+    for (; s + 8 <= n; s += 8) {
+      packed[s / 64] |= nonzero_byte_bits(values.data() + s) << (s % 64);
     }
+    for (; s < n; ++s) {
+      packed[s / 64] |= std::uint64_t{values[s] != 0} << (s % 64);
+    }
+    BitVec snapshot;
+    snapshot.assign_words(n, packed);
     return snapshot;
   }
 
@@ -92,23 +109,12 @@ GoldenSlotTrace capture_golden_slots(const CompiledKernel& kernel,
 
 GoldenCapture capture_golden_unified(const CompiledKernel& kernel,
                                      std::span<const BitVec> vectors,
-                                     unsigned build_threads, bool want_slots) {
+                                     bool want_slots) {
   GoldenCapture cap;
   cap.trace.states.reserve(vectors.size() + 1);
   cap.trace.outputs.reserve(vectors.size());
   if (want_slots) {
     cap.slots.num_slots = kernel.num_slots();
-  }
-
-  // Serial walk: the state chain is inherently sequential, but recording the
-  // (small) output/state views is cheap next to packing full slot snapshots.
-  // The two-pass parallel capture re-settles every cycle once more, so it
-  // only pays off with real concurrency — resolve 0 before deciding.
-  const unsigned threads = build_threads == 0
-                               ? std::thread::hardware_concurrency()
-                               : build_threads;
-  const bool parallel_slots = want_slots && threads > 1 && vectors.size() > 1;
-  if (want_slots && !parallel_slots) {
     cap.slots.cycles.reserve(vectors.size());
   }
   ScalarGoldenMachine machine(kernel);
@@ -116,32 +122,20 @@ GoldenCapture capture_golden_unified(const CompiledKernel& kernel,
   for (const BitVec& vector : vectors) {
     machine.settle(vector);
     cap.trace.outputs.push_back(machine.snapshot_outputs());
-    if (want_slots && !parallel_slots) {
+    if (want_slots) {
       cap.slots.cycles.push_back(machine.snapshot_slots());
     }
     machine.latch();
     cap.trace.states.push_back(machine.snapshot_state());
   }
-
-  // Parallel slot packing: each cycle's snapshot is a pure function of
-  // (start state, vector), and the start states are now all known, so
-  // disjoint cycle ranges re-settle concurrently, each seeded from the
-  // recorded state — bit-identical to the serial walk for any thread count.
-  if (parallel_slots) {
-    cap.slots.cycles.resize(vectors.size());
-    parallel_for_ranges(
-        vectors.size(), threads,
-        [&](std::size_t begin, std::size_t end) {
-          ScalarGoldenMachine local(kernel);
-          local.seed_state(cap.trace.states[begin]);
-          for (std::size_t t = begin; t < end; ++t) {
-            local.settle(vectors[t]);
-            cap.slots.cycles[t] = local.snapshot_slots();
-            local.latch();
-          }
-        });
-  }
   return cap;
+}
+
+GoldenCapture capture_golden_unified(const CompiledKernel& kernel,
+                                     std::span<const BitVec> vectors,
+                                     [[maybe_unused]] unsigned build_threads,
+                                     bool want_slots) {
+  return capture_golden_unified(kernel, vectors, want_slots);
 }
 
 }  // namespace femu

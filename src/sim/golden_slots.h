@@ -47,19 +47,21 @@ struct GoldenCapture {
 };
 
 /// Captures the golden output/state trace and (when `want_slots`) the golden
-/// slot trace in ONE walk of the fault-free machine, replacing the separate
-/// `capture_golden` (interpreted re-simulation) + `capture_golden_slots`
-/// passes the engine constructor used to run back to back.
-///
-/// Bit-identical to both separate captures by construction: outputs(t) and
-/// next-state(t) are read from the same settled slot values the snapshot
-/// packs. With `build_threads > 1` a serial state-only walk records the
-/// per-cycle start states first, then disjoint cycle ranges re-settle in
-/// parallel, each seeded from the recorded state — every cycle's snapshot is
-/// a pure function of (state, vector), so the result is bit-identical to the
-/// serial walk for any thread count. 0 = hardware concurrency.
+/// slot trace in ONE serial walk of the fault-free machine, replacing the
+/// separate `capture_golden` (interpreted re-simulation) +
+/// `capture_golden_slots` passes the engine constructor used to run back to
+/// back. Bit-identical to both separate captures by construction: outputs(t)
+/// and next-state(t) are read from the same settled slot values the snapshot
+/// packs.
 [[nodiscard]] GoldenCapture capture_golden_unified(
     const CompiledKernel& kernel, std::span<const BitVec> vectors,
-    unsigned build_threads = 1, bool want_slots = true);
+    bool want_slots = true);
+
+/// The same serial capture; `build_threads` is accepted and ignored until
+/// the callers that still pass it are gone (ROADMAP item 2(b)). No defaults,
+/// so a three-argument call always means `want_slots`.
+[[nodiscard]] GoldenCapture capture_golden_unified(
+    const CompiledKernel& kernel, std::span<const BitVec> vectors,
+    unsigned build_threads, bool want_slots);
 
 }  // namespace femu

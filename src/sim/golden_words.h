@@ -3,7 +3,6 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel_for.h"
 #include "sim/golden.h"
 #include "sim/lane_word.h"
 
@@ -35,50 +34,36 @@ struct GoldenWordImage {
 
   GoldenWordImage() = default;
 
-  /// Each cycle's block of broadcast words is an independent, disjoint slice
-  /// of the flat arrays, so the fill shards by cycle across `build_threads`
-  /// (0 = hardware concurrency) and is bit-identical to the serial fill for
-  /// any thread count.
+  /// Builds serially; `build_threads` is accepted and ignored until the
+  /// callers that still pass it are gone (ROADMAP item 2(b)).
   explicit GoldenWordImage(const GoldenTrace& trace,
                            std::span<const BitVec> input_vectors = {},
-                           unsigned build_threads = 1)
+                           [[maybe_unused]] unsigned build_threads = 1)
       : num_outputs(trace.outputs.empty() ? 0 : trace.outputs.front().size()),
         num_ffs(trace.states.empty() ? 0 : trace.states.front().size()),
         num_inputs(input_vectors.empty() ? 0 : input_vectors.front().size()) {
     using T = LaneTraits<Word>;
     out_words.resize(trace.outputs.size() * num_outputs);
-    parallel_for_ranges(
-        trace.outputs.size(), build_threads,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t t = begin; t < end; ++t) {
-            const BitVec& outs = trace.outputs[t];
-            for (std::size_t i = 0; i < num_outputs; ++i) {
-              out_words[t * num_outputs + i] = T::broadcast(outs.get(i));
-            }
-          }
-        });
+    for (std::size_t t = 0; t < trace.outputs.size(); ++t) {
+      const BitVec& outs = trace.outputs[t];
+      for (std::size_t i = 0; i < num_outputs; ++i) {
+        out_words[t * num_outputs + i] = T::broadcast(outs.get(i));
+      }
+    }
     state_words.resize(trace.states.size() * num_ffs);
-    parallel_for_ranges(
-        trace.states.size(), build_threads,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t t = begin; t < end; ++t) {
-            const BitVec& state = trace.states[t];
-            for (std::size_t i = 0; i < num_ffs; ++i) {
-              state_words[t * num_ffs + i] = T::broadcast(state.get(i));
-            }
-          }
-        });
+    for (std::size_t t = 0; t < trace.states.size(); ++t) {
+      const BitVec& state = trace.states[t];
+      for (std::size_t i = 0; i < num_ffs; ++i) {
+        state_words[t * num_ffs + i] = T::broadcast(state.get(i));
+      }
+    }
     in_words.resize(input_vectors.size() * num_inputs);
-    parallel_for_ranges(
-        input_vectors.size(), build_threads,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t t = begin; t < end; ++t) {
-            const BitVec& vector = input_vectors[t];
-            for (std::size_t i = 0; i < num_inputs; ++i) {
-              in_words[t * num_inputs + i] = T::broadcast(vector.get(i));
-            }
-          }
-        });
+    for (std::size_t t = 0; t < input_vectors.size(); ++t) {
+      const BitVec& vector = input_vectors[t];
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        in_words[t * num_inputs + i] = T::broadcast(vector.get(i));
+      }
+    }
   }
 
   [[nodiscard]] std::span<const Word> outputs(std::size_t t) const {

@@ -471,5 +471,27 @@ TEST(ArtifactCache, MissingDirectoryIsAPlainMiss) {
   EXPECT_TRUE(fs::exists(dir));  // the store created it
 }
 
+TEST(ArtifactCache, FailedStoreLeavesNoTempFile) {
+  const Circuit circuit = build_revision(7, 0);
+  const Testbench tb = random_testbench(circuit.num_inputs(), 24, 2005);
+  const std::string dir = fresh_dir("cache-store-fails");
+  const ArtifactCacheKey key = engine_key(circuit, tb, cached_config(dir));
+  // A directory squatting on the entry's final path makes the rename fail
+  // after the temp file has been fully written.
+  fs::create_directories(fs::path(dir) / key.file_name());
+
+  const GoldenTrace golden = capture_golden(circuit, tb.vectors());
+  ArtifactStoreView view;
+  view.golden = &golden;
+  const ArtifactStoreResult stored = store_artifacts(dir, key, view);
+  EXPECT_FALSE(stored.stored);
+  EXPECT_EQ(stored.bytes, 0u);
+  EXPECT_NE(stored.detail.find("rename"), std::string::npos) << stored.detail;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  }
+  EXPECT_TRUE(fs::is_directory(fs::path(dir) / key.file_name()));
+}
+
 }  // namespace
 }  // namespace femu

@@ -1,24 +1,27 @@
-// Parallel campaign construction must be a pure latency knob: every sharded
-// builder — the per-FF cone closures, the ConeOracle reachability CSR, the
-// unified golden capture's slot packing, the per-tier word-image broadcasts —
-// has to produce results bit-identical to its serial form for any thread
-// count. These tests pin that contract on {1, 4, 8} build threads, and pin
-// the unified capture against the two separate passes it replaced.
+// Campaign construction is serial. The builders still accept a build
+// thread count (until its last callers go), and no thread count may ever
+// change a result: these tests pin that on {1, 4, 8} build threads, pin the
+// unified capture against the two separate passes it replaced, and check its
+// word-packed slot snapshots bit by bit against the interpreted simulator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "circuits/b14.h"
 #include "circuits/generators.h"
 #include "fault/fault_list.h"
 #include "fault/parallel_faultsim.h"
+#include "netlist/bench_io.h"
 #include "netlist/fanout_cones.h"
 #include "sim/compiled_kernel.h"
 #include "sim/golden.h"
 #include "sim/golden_slots.h"
 #include "sim/golden_words.h"
+#include "sim/levelized_sim.h"
 #include "stim/generate.h"
 
 namespace femu {
@@ -113,6 +116,47 @@ TEST(ParallelBuild, UnifiedCaptureBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.slots.cycles, serial.slots.cycles)
           << circuit.name() << " threads " << threads;
     }
+  }
+}
+
+/// Every bit of `slots` equals the interpreted simulator's settled node
+/// value at that cycle (slot index == node id), and the bits past
+/// `num_slots` in each cycle's last word are zero. The interpreter shares no
+/// code with the compiled kernel's packed snapshots, so a packing bug
+/// cannot cancel out here.
+void expect_slots_match_interpreter(const Circuit& circuit,
+                                    const Testbench& tb,
+                                    const GoldenSlotTrace& slots) {
+  ASSERT_EQ(slots.num_slots, circuit.node_count()) << circuit.name();
+  ASSERT_EQ(slots.num_cycles(), tb.num_cycles()) << circuit.name();
+  LevelizedSimulator sim(circuit, SimBackend::kInterpreted);
+  for (std::size_t t = 0; t < tb.num_cycles(); ++t) {
+    sim.eval(tb.vectors()[t]);
+    const BitVec& snap = slots.at(t);
+    ASSERT_EQ(snap.size(), slots.num_slots);
+    for (NodeId id = 0; id < slots.num_slots; ++id) {
+      ASSERT_EQ(snap.get(id), sim.value(id))
+          << circuit.name() << " cycle " << t << " node " << id;
+    }
+    const std::size_t tail = slots.num_slots % 64;
+    if (tail != 0) {
+      EXPECT_EQ(snap.words().back() >> tail, 0u)
+          << circuit.name() << " cycle " << t;
+    }
+    sim.step();
+  }
+}
+
+TEST(ParallelBuild, PackedSlotSnapshotsMatchInterpreter) {
+  std::vector<Circuit> circuits;
+  circuits.push_back(circuits::build_b14());  // 2,379 slots: partial word
+  circuits.push_back(
+      load_bench_file(std::string(FEMU_TESTS_DIR) + "/s27.bench"));
+  for (const Circuit& circuit : circuits) {
+    const Testbench tb = random_testbench(circuit.num_inputs(), 40, 2005);
+    const auto kernel = compile_kernel(circuit);
+    expect_slots_match_interpreter(
+        circuit, tb, capture_golden_unified(*kernel, tb.vectors()).slots);
   }
 }
 
